@@ -6,8 +6,8 @@ open Bechamel
 module Links = Sgr_links.Links
 module W = Sgr_workloads.Workloads
 module Eq = Sgr_network.Equilibrate
-module FW = Sgr_network.Frank_wolfe
 module Obj = Sgr_network.Objective
+module Solver = Sgr_assign.Solver
 module Prng = Sgr_numerics.Prng
 
 let links_instance m = W.random_affine_links (Prng.create (1000 + m)) ~m ~demand:1.0 ()
@@ -61,10 +61,11 @@ let t4 =
            Test.make ~name:(Printf.sprintf "equilibrate/l%dw%d" layers width)
              (Staged.stage (fun () -> ignore (Eq.solve Obj.Wardrop net)));
            Test.make ~name:(Printf.sprintf "frank-wolfe/l%dw%d" layers width)
-             (Staged.stage (fun () -> ignore (FW.solve ~tol:1e-6 Obj.Wardrop net)));
+             (Staged.stage (fun () ->
+                  ignore (Solver.solve ~tol:1e-6 ~max_iter:100_000 Obj.Wardrop net)));
            Test.make ~name:(Printf.sprintf "msa/l%dw%d" layers width)
              (Staged.stage (fun () ->
-                  ignore (Sgr_network.Msa.solve ~tol:1e-4 Obj.Wardrop net)));
+                  ignore (Solver.solve ~method_:Msa ~tol:1e-4 ~max_iter:200_000 Obj.Wardrop net)));
          ])
        nets)
 
@@ -563,16 +564,6 @@ let run_t12 ~sizes ~repeats () =
 
 type t13_result = { entry : obs_entry; gate_failures : string list }
 
-let t13_flows_identical a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i x ->
-      if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i))) then ok := false)
-    a;
-  !ok
-
 let run_t13 ~tiers () =
   let t0 = Obs.now () in
   let counters = ref [] in
@@ -583,30 +574,25 @@ let run_t13 ~tiers () =
         W.synthetic_city (Prng.create (13_000 + rings)) ~rings ~radials ~commodities:32 ()
       in
       let m = Sgr_graph.Digraph.num_edges net.Sgr_network.Network.graph in
-      let solve jobs = Sgr_assign.Solver.solve ~tol:1e-4 ~jobs Obj.Wardrop net in
+      let solve jobs = Solver.solve ~tol:1e-4 ~jobs Obj.Wardrop net in
       let t_solve = Obs.now () in
       let s1 = solve 1 in
       let wall_s = Obs.now () -. t_solve in
       let s4 = solve 4 in
-      let identical =
-        t13_flows_identical s1.Sgr_assign.Solver.edge_flow s4.Sgr_assign.Solver.edge_flow
-      in
+      let identical = Sgr_numerics.Vec.bitwise_equal s1.Solver.edge_flow s4.Solver.edge_flow in
       Format.printf "  %-28s %8.3f ms  (%d edges, %d iters, gap %.3g, jobs 1=4: %b)@."
         (tag ^ "/frank-wolfe")
-        (wall_s *. 1e3) m s1.Sgr_assign.Solver.iterations s1.Sgr_assign.Solver.relative_gap
-        identical;
-      if s1.Sgr_assign.Solver.relative_gap > 1e-4 then
+        (wall_s *. 1e3) m s1.Solver.iterations s1.Solver.relative_gap identical;
+      if s1.Solver.relative_gap > 1e-4 then
         failures :=
-          Printf.sprintf "%s: gap %.3g did not reach 1e-4" tag
-            s1.Sgr_assign.Solver.relative_gap
+          Printf.sprintf "%s: gap %.3g did not reach 1e-4" tag s1.Solver.relative_gap
           :: !failures;
       if not identical then
         failures := Printf.sprintf "%s: jobs=1 and jobs=4 flows differ" tag :: !failures;
       counters :=
-        (Printf.sprintf "t13.%s.gap_x1e9" tag,
-         int_of_float (s1.Sgr_assign.Solver.relative_gap *. 1e9))
+        (Printf.sprintf "t13.%s.gap_x1e9" tag, int_of_float (s1.Solver.relative_gap *. 1e9))
         :: (Printf.sprintf "t13.%s.jobs_identical" tag, if identical then 1 else 0)
-        :: (Printf.sprintf "t13.%s.iterations" tag, s1.Sgr_assign.Solver.iterations)
+        :: (Printf.sprintf "t13.%s.iterations" tag, s1.Solver.iterations)
         :: (Printf.sprintf "t13.%s.wall_us" tag, int_of_float (wall_s *. 1e6))
         :: (Printf.sprintf "t13.%s.edges" tag, m)
         :: !counters)

@@ -33,6 +33,7 @@ let parse_links lines =
         match String.lowercase_ascii keyword with
         | "demand" -> (
             match float_of_string_opt arg with
+            | Some d when not (Float.is_finite d) -> errf lineno "non-finite demand %S" arg
             | Some d when d >= 0.0 ->
                 demand := Some d;
                 go rest
@@ -97,6 +98,8 @@ let parse_network lines =
             match parts with
             | [ a; b; d ] -> (
                 match (int_of_string_opt a, int_of_string_opt b, float_of_string_opt d) with
+                | Some _, Some _, Some demand when not (Float.is_finite demand) ->
+                    errf lineno "non-finite commodity demand %S" d
                 | Some src, Some dst, Some demand when demand >= 0.0 ->
                     commodities := { Net.src; dst; demand } :: !commodities;
                     go rest

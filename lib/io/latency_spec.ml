@@ -2,12 +2,20 @@ module L = Sgr_latency.Latency
 
 let float_of_string_opt' s = float_of_string_opt (String.trim s)
 
+(* [float_of_string] also reads "inf", "nan" and overflowing literals
+   such as "1e400"; none of them is a latency parameter. *)
+let non_finite w = Error (Printf.sprintf "non-finite number %S in latency specification" w)
+
+let is_non_finite_word w =
+  match float_of_string_opt w with Some f -> not (Float.is_finite f) | None -> false
+
 let parse_affine s =
   (* Forms accepted: "x", "Ax", "A x", "Ax + B", "x + B", "B". *)
   let compact = String.concat "" (String.split_on_char ' ' s) in
   match String.index_opt compact 'x' with
   | None -> (
       match float_of_string_opt' compact with
+      | Some c when not (Float.is_finite c) -> non_finite compact
       | Some c when c >= 0.0 -> Ok (L.constant c)
       | Some _ -> Error "negative constant latency"
       | None -> Error (Printf.sprintf "cannot parse %S as a number or affine expression" s))
@@ -26,6 +34,7 @@ let parse_affine s =
         else None
       in
       (match (coeff, intercept) with
+      | Some a, Some b when not (Float.is_finite a && Float.is_finite b) -> non_finite compact
       | Some a, Some b when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
       | Some _, Some _ -> Error "negative coefficient in affine latency"
       | _ -> Error (Printf.sprintf "cannot parse %S as an affine expression" s))
@@ -45,6 +54,7 @@ let rec parse s =
   if s = "" then Error "empty latency specification"
   else
     match words (String.lowercase_ascii s) with
+    | ws when List.exists is_non_finite_word ws -> non_finite (List.find is_non_finite_word ws)
     | "shifted" :: off :: (_ :: _ as rest) -> (
         (* [shifted S SPEC] is x ↦ SPEC(S + x): the a-posteriori latency
            of a link pre-loaded with S units of flow. The base is a full
@@ -89,9 +99,6 @@ let rec parse s =
         | Some [ a; b ] when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
         | _ -> Error "affine expects 'affine SLOPE INTERCEPT' with nonnegative numbers")
     | _ -> parse_affine s
-
-let parse_exn s =
-  match parse s with Ok l -> l | Error m -> invalid_arg ("Latency_spec.parse: " ^ m)
 
 let print lat =
   let num f =

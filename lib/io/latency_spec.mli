@@ -20,9 +20,6 @@
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
 
-val parse_exn : string -> Sgr_latency.Latency.t
-(** @raise Invalid_argument on a malformed specification. *)
-
 val print : Sgr_latency.Latency.t -> string
 (** Render a latency back into parseable form.
     [parse (print l)] reproduces [l] for every non-[Custom] latency

@@ -7,6 +7,7 @@ type t = { latencies : L.t array; demand : float }
 
 let make latencies ~demand =
   if Array.length latencies = 0 then invalid_arg "Links.make: no links";
+  if not (Float.is_finite demand) then invalid_arg "Links.make: non-finite demand";
   if demand < 0.0 then invalid_arg "Links.make: negative demand";
   { latencies; demand }
 
@@ -34,8 +35,6 @@ let is_feasible ?(eps = Tol.check_eps) t x =
   Array.length x = num_links t
   && Vec.all_nonneg ~eps x
   && Tol.approx ~eps (Vec.sum x) t.demand
-
-let latencies_at t x = Array.mapi (fun i xi -> L.eval t.latencies.(i) xi) x
 
 let beckmann t x =
   assert (Array.length x = num_links t);

@@ -14,9 +14,10 @@ type t = private {
 }
 
 val make : Sgr_latency.Latency.t array -> demand:float -> t
-(** @raise Invalid_argument if no links or [demand < 0]. (Zero demand is
-    allowed so that recursive algorithms can reach the empty game; its Nash
-    and optimum are the all-zero assignment.) *)
+(** @raise Invalid_argument if no links, [demand < 0] or [demand] is not
+    finite. (Zero demand is allowed so that recursive algorithms can
+    reach the empty game; its Nash and optimum are the all-zero
+    assignment.) *)
 
 val num_links : t -> int
 
@@ -35,9 +36,6 @@ val cost : t -> float array -> float
 
 val is_feasible : ?eps:float -> t -> float array -> bool
 (** Nonnegative and sums to the demand. *)
-
-val latencies_at : t -> float array -> float array
-(** Per-link latency at the given assignment. *)
 
 val beckmann : t -> float array -> float
 (** The Beckmann potential [Σᵢ ∫₀^{xᵢ} ℓᵢ(u) du], whose minimizer over

@@ -16,12 +16,18 @@
     enumeration-based oracle remains available through
     {!solve_on_paths} for cross-checking on small instances. *)
 
-type solution = Solver_types.path_solution = {
-  edge_flow : float array;
+type solution = {
+  edge_flow : float array;  (** Per-edge flow at termination. *)
   path_flows : float array array;
+      (** Per-commodity path flows, aligned with [paths]. *)
   paths : Sgr_graph.Paths.t array array;
-  sweeps : int;
+      (** The path sets the solver worked over: every simple path under
+          the exhaustive engine, the priced active columns under column
+          generation. *)
+  sweeps : int;  (** Number of full commodity equalization sweeps. *)
   gap : float;
+      (** Max over commodities of (costliest used path − cheapest path)
+          under the objective's edge values at termination. *)
 }
 
 val solve :

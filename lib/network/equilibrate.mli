@@ -17,18 +17,13 @@
       for cross-checking on small instances. It inherits
       {!Sgr_graph.Paths.enumerate}'s 20,000-path cap. *)
 
-type solution = Solver_types.path_solution = {
-  edge_flow : float array;  (** Per-edge flow at termination. *)
+(** Both engines return {!Column_gen.solution}; see there for the fields. *)
+type solution = Column_gen.solution = {
+  edge_flow : float array;
   path_flows : float array array;
-      (** Per-commodity path flows, aligned with [paths]. *)
   paths : Sgr_graph.Paths.t array array;
-      (** The path sets the solver worked over: the priced active
-          columns under column generation, every simple path under the
-          exhaustive engine. *)
-  sweeps : int;  (** Number of full commodity sweeps performed. *)
+  sweeps : int;
   gap : float;
-      (** Max over commodities of (costliest used path − cheapest path)
-          under the objective's edge values at termination. *)
 }
 
 type engine =

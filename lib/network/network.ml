@@ -24,6 +24,7 @@ let make graph ~latencies ~commodities =
       (* [reachable] is a full Dijkstra per commodity; check between
          them so validating a large instance respects the deadline. *)
       Sgr_obs.Cancel.check ();
+      if not (Float.is_finite c.demand) then invalid_arg "Network.make: non-finite demand";
       if c.demand < 0.0 then invalid_arg "Network.make: negative demand";
       if c.src = c.dst then invalid_arg "Network.make: source equals destination";
       if not (reachable graph ~src:c.src ~dst:c.dst) then
@@ -67,6 +68,7 @@ let with_demands t demands =
     Array.mapi
       (fun i c ->
         let d = demands.(i) in
+        if not (Float.is_finite d) then invalid_arg "Network.with_demands: non-finite demand";
         if d < 0.0 then invalid_arg "Network.with_demands: negative demand";
         { c with demand = d })
       t.commodities
@@ -81,14 +83,3 @@ let paths t =
       Sgr_obs.Cancel.check ();
       Array.of_list (G.Paths.enumerate t.graph ~src:c.src ~dst:c.dst))
     t.commodities
-
-let path_flows_to_edges t per_commodity =
-  let all_paths = paths t in
-  let flow = Array.make (G.Digraph.num_edges t.graph) 0.0 in
-  Array.iteri
-    (fun i flows ->
-      Array.iteri
-        (fun j amount -> List.iter (fun e -> flow.(e) <- flow.(e) +. amount) all_paths.(i).(j))
-        flows)
-    per_commodity;
-  flow

@@ -40,7 +40,9 @@ let linf_dist a b =
   done;
   !d
 
-let l1_norm v = kahan_fold (fun i -> Float.abs v.(i)) (Array.length v)
+let bitwise_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 let extremum better v =
   if Array.length v = 0 then invalid_arg "Vec: empty array";
@@ -50,7 +52,6 @@ let extremum better v =
   done;
   !best
 
-let max_elt v = extremum (fun a b -> a > b) v
 let min_elt v = extremum (fun a b -> a < b) v
 
 let arg_extremum better v =

@@ -25,11 +25,10 @@ val axpy : float -> float array -> float array -> unit
 val linf_dist : float array -> float array -> float
 (** Max-norm distance. *)
 
-val l1_norm : float array -> float
-(** Sum of absolute values (compensated). *)
-
-val max_elt : float array -> float
-(** Largest element. Requires a nonempty array. *)
+val bitwise_equal : float array -> float array -> bool
+(** Same length and the same IEEE-754 bit pattern at every index — the
+    determinism contract's notion of "identical flows". Stricter than
+    [=]: [-0.0] differs from [0.0], and a [nan] equals itself. *)
 
 val min_elt : float array -> float
 (** Smallest element. Requires a nonempty array. *)

@@ -28,7 +28,7 @@
     appear in traces. Counters are domain-safe and exact everywhere.
 
     Naming scheme: ["component.operation"], e.g. ["bisection.calls"],
-    ["frank_wolfe.solve"], ["mop.maxflow"]. See docs/observability.md. *)
+    ["assign.solve"], ["mop.maxflow"]. See docs/observability.md. *)
 
 type event =
   | Span_begin of { name : string; ts : float; depth : int }

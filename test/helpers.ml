@@ -23,3 +23,14 @@ let case name f = Alcotest.test_case name `Quick f
 
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* The edge-flow solvers at the tolerances the small-network suites
+   assert against: Frank–Wolfe to gap 1e-8 within 100_000 iterations,
+   MSA to 1e-6 within 200_000. [Sgr_assign.Solver]'s own defaults
+   (1e-4, 10_000) are sized for city-scale runs and would stop MSA
+   early here. *)
+let fw ?(tol = 1e-8) ?(max_iter = 100_000) obj net =
+  Sgr_assign.Solver.solve ~method_:Frank_wolfe ~tol ~max_iter obj net
+
+let msa ?(tol = 1e-6) ?(max_iter = 200_000) obj net =
+  Sgr_assign.Solver.solve ~method_:Msa ~tol ~max_iter obj net

@@ -10,6 +10,7 @@ module G = Sgr_graph
 module W = Sgr_workloads.Workloads
 module Tntp = Sgr_workloads.Tntp
 module Prng = Sgr_numerics.Prng
+module Vec = Sgr_numerics.Vec
 module Solver = Sgr_assign.Solver
 module Decompose = Sgr_assign.Decompose
 
@@ -24,15 +25,6 @@ let small_multi seed =
 let small_city seed =
   let rng = Prng.create (seed + 1) in
   W.synthetic_city rng ~rings:2 ~radials:5 ~commodities:6 ()
-
-let bitwise_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x -> if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i)))
-          then ok := false)
-        a;
-      !ok)
 
 (* ---------------- solver vs the path-based engine ---------------- *)
 
@@ -72,7 +64,7 @@ let test_jobs_byte_identity () =
       let a = Solver.solve ~tol:1e-6 ~jobs:1 obj net in
       let b = Solver.solve ~tol:1e-6 ~jobs:4 obj net in
       check_true "edge flows identical at jobs 1 and 4"
-        (bitwise_equal a.Solver.edge_flow b.Solver.edge_flow);
+        (Vec.bitwise_equal a.Solver.edge_flow b.Solver.edge_flow);
       Alcotest.(check int) "same iteration count" a.Solver.iterations b.Solver.iterations)
     [ Obj.Wardrop; Obj.System_optimum ]
 
@@ -81,7 +73,7 @@ let test_solve_flows_same_aggregate () =
   let a = Solver.solve ~tol:1e-6 Obj.Wardrop net in
   let b, _ = Solver.solve_flows ~tol:1e-6 Obj.Wardrop net in
   check_true "solve and solve_flows agree bitwise"
-    (bitwise_equal a.Solver.edge_flow b.Solver.edge_flow)
+    (Vec.bitwise_equal a.Solver.edge_flow b.Solver.edge_flow)
 
 let test_unreachable_sink_rejected () =
   (* 0 -> 1 only; commodity asks 1 -> 0. *)
@@ -114,7 +106,7 @@ let prop_decompose_conserves_and_recomposes =
       let scale = Float.max 1.0 (Net.total_demand net) in
       Decompose.demand_error net d <= 1e-6 *. scale
       && Decompose.max_residual d <= 1e-9 *. scale
-      && bitwise_equal (Decompose.recompose net d) sol.Solver.edge_flow
+      && Vec.bitwise_equal (Decompose.recompose net d) sol.Solver.edge_flow
       && List.for_all
            (fun (pf : Decompose.path_flow) ->
              let c = net.Net.commodities.(pf.commodity) in
@@ -128,7 +120,7 @@ let prop_decompose_single_commodity_default =
       let net = small_grid seed in
       let sol = Solver.solve ~tol:1e-6 Obj.System_optimum net in
       let d = Decompose.run net ~edge_flow:sol.Solver.edge_flow in
-      bitwise_equal (Decompose.recompose net d) sol.Solver.edge_flow)
+      Vec.bitwise_equal (Decompose.recompose net d) sol.Solver.edge_flow)
 
 let contains_substring s sub =
   let n = String.length s and k = String.length sub in

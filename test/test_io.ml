@@ -50,6 +50,27 @@ let test_bad_specs () =
   parse_err "shifted -1 x";
   parse_err "shifted 1 frogs"
 
+(* "inf", "nan" and overflowing literals all parse as OCaml floats; each
+   must be refused by name rather than reach a solver or be misreported
+   as a sign error. *)
+let contains s fragment =
+  let n = String.length fragment in
+  let rec go i = i + n <= String.length s && (String.sub s i n = fragment || go (i + 1)) in
+  go 0
+
+let test_non_finite_specs () =
+  List.iter
+    (fun spec ->
+      match LS.parse spec with
+      | Error m when contains m "non-finite" -> ()
+      | Error m -> Alcotest.failf "%S: wrong error %S" spec m
+      | Ok _ -> Alcotest.failf "%S: non-finite spec accepted" spec)
+    [
+      "inf"; "nan"; "infx + 1"; "nanx + 1"; "x + inf"; "2x+nan"; "1e400x"; "const inf";
+      "affine 1 nan"; "affine inf 0"; "shifted inf x"; "shifted 1 const nan"; "poly 1 inf";
+      "mm1 inf"; "bpr 1 nan";
+    ]
+
 let test_spec_roundtrip () =
   List.iter
     (fun lat ->
@@ -131,6 +152,41 @@ let test_file_errors () =
   expect_error "network\nnodes 2\nedge 0 1 x\n" "commodity";
   expect_error "network\nnodes 2\nedge 0 5 x\ncommodity 0 1 1\n" "range";
   expect_error "links\ndemand 1\nlink owl\n" "parse"
+
+let test_non_finite_files () =
+  List.iter
+    (fun text ->
+      match IF.parse text with
+      | Error m when contains m "non-finite" -> ()
+      | Error m -> Alcotest.failf "%S: wrong error %S" text m
+      | Ok _ -> Alcotest.failf "%S: non-finite instance accepted" text)
+    [
+      "links\ndemand inf\nlink x\n";
+      "links\ndemand nan\nlink x\n";
+      "links\ndemand 1e400\nlink x\n";
+      "links\ndemand 1\nlink infx + 1\n";
+      "network\nnodes 2\nedge 0 1 x\ncommodity 0 1 inf\n";
+      "network\nnodes 2\nedge 0 1 x\ncommodity 0 1 nan\n";
+      "network\nnodes 2\nedge 0 1 nanx + 1\ncommodity 0 1 1\n";
+    ]
+
+let test_non_finite_constructors () =
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument m when contains m "non-finite" -> ()
+    | exception Invalid_argument m -> Alcotest.failf "%s: wrong error %S" name m
+    | _ -> Alcotest.failf "%s: non-finite demand accepted" name
+  in
+  let net = W.braess_classic () in
+  List.iter
+    (fun d ->
+      rejects "Links.make" (fun () -> ignore (Links.make [| L.linear 1.0 |] ~demand:d));
+      rejects "Network.make" (fun () ->
+          ignore
+            (Net.make net.Net.graph ~latencies:net.Net.latencies
+               ~commodities:[| { Net.src = 0; dst = 3; demand = d } |]));
+      rejects "Network.with_demands" (fun () -> ignore (Net.with_demands net [| d |])))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
 
 let test_error_line_numbers () =
   match IF.parse "links\ndemand 1.0\nlink x\nlink zebra\n" with
@@ -256,12 +312,15 @@ let suite =
     case "latency specs: affine forms" test_affine_specs;
     case "latency specs: keyword forms" test_keyword_specs;
     case "latency specs: malformed" test_bad_specs;
+    case "latency specs: non-finite numbers rejected" test_non_finite_specs;
     case "latency specs: print/parse roundtrip" test_spec_roundtrip;
     case "latency specs: shifted keyword canonicalizes" test_shifted_spec_canonicalizes;
     case "latency specs: custom not serializable" test_spec_print_rejects_custom;
     case "instance files: links" test_links_file;
     case "instance files: network" test_network_file;
     case "instance files: error cases" test_file_errors;
+    case "instance files: non-finite numbers rejected" test_non_finite_files;
+    case "constructors: non-finite demand rejected" test_non_finite_constructors;
     case "instance files: errors carry line numbers" test_error_line_numbers;
     case "instance files: links roundtrip" test_links_roundtrip;
     case "instance files: network roundtrip" test_network_roundtrip;
