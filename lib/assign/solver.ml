@@ -1,4 +1,5 @@
 module G = Sgr_graph
+module L = Sgr_latency.Latency
 module Network = Sgr_network.Network
 module Objective = Sgr_network.Objective
 module Obs = Sgr_obs.Obs
@@ -19,6 +20,58 @@ type solution = {
 
 let c_iters = Obs.counter "assign.iterations"
 let c_line_search = Obs.counter "assign.line_searches"
+let c_exact = Obs.counter "assign.exact_steps"
+
+(* Per-edge slope of the gradient when every edge's gradient is a line:
+   ℓ_e = a_e·x + b_e gives a_e for the Beckmann potential and 2·a_e for
+   total cost, (x·ℓ_e)' = 2·a_e·x + b_e. [None] as soon as one latency
+   is not a line. *)
+let gradient_slopes obj lats =
+  let m = Array.length lats in
+  let slopes = Array.make m 0.0 and intercepts = Array.make m 0.0 in
+  let ok = ref true and e = ref 0 in
+  let cancel = Sgr_obs.Cancel.handle () in
+  while !ok && !e < m do
+    Sgr_obs.Cancel.check_handle cancel;
+    ok := L.reduce_into lats.(!e) ~slopes ~intercepts !e;
+    incr e
+  done;
+  if not !ok then None
+  else
+    match (obj : Objective.t) with
+    | Wardrop -> Some slopes
+    | System_optimum -> Some (Array.map (fun a -> 2.0 *. a) slopes)
+
+(* One pass over the direction d = y - f, kept implicit: the duality-gap
+   numerator -∇·d, the normalizer ∇·f and, given the gradient slopes c,
+   the curvature Σ c_e·d_e² of φ along d. *)
+let direction_sums ~slopes ~grad ~f ~y =
+  let gap = ref 0.0 and denom = ref 0.0 and curv = ref 0.0 in
+  (match slopes with
+  | None ->
+      for e = 0 to Array.length f - 1 do
+        gap := !gap -. (grad.(e) *. (y.(e) -. f.(e)));
+        denom := !denom +. (grad.(e) *. f.(e))
+      done
+  | Some c ->
+      for e = 0 to Array.length f - 1 do
+        let de = y.(e) -. f.(e) in
+        gap := !gap -. (grad.(e) *. de);
+        denom := !denom +. (grad.(e) *. f.(e));
+        curv := !curv +. (c.(e) *. de *. de)
+      done);
+  (!gap, !denom, !curv)
+
+(* φ'(γ) = -gap + γ·curv is linear, so its root clamped to [0, 1] is
+   the exact line-search step. *)
+let line_step ~gap ~curv =
+  if curv > 0.0 then Float.min 1.0 (Float.max 0.0 (gap /. curv))
+  else if gap > 0.0 then 1.0
+  else 0.0
+
+let affine_step ~slopes ~grad ~flow ~target =
+  let gap, _, curv = direction_sums ~slopes:(Some slopes) ~grad ~f:flow ~y:target in
+  line_step ~gap ~curv
 
 let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs ~flows obj net
     =
@@ -27,7 +80,11 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   let value = Objective.edge_value obj in
   let lats = net.Network.latencies in
   let ks = net.Network.commodities in
-  let plan = Aon.plan net in
+  let plan = Aon.plan ?jobs net in
+  let floor = Aon.weight_floor plan in
+  (* The exact affine step replaces the bisection line search whenever
+     every latency is a line; MSA has no line search. *)
+  let slopes = match method_ with Msa -> None | Frank_wolfe -> gradient_slopes obj lats in
   let grad = Array.make m 0.0 in
   let y = Array.make m 0.0 in
   (* Per-commodity flow tracking (only when the caller wants a
@@ -56,11 +113,13 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
             List.iter (fun e -> x.(e) <- x.(e) +. d) paths.(i))
           xs
   in
-  (* Dijkstra rejects negative weights; marginals of odd user latencies
-     can dip microscopically below zero, so clamp. *)
+  (* Clamp to the free-flow floor: a no-op in exact arithmetic, it
+     absorbs the rounding of numerically differentiated marginals, keeps
+     Dijkstra's weights nonnegative and the AON's A* potentials
+     consistent. *)
   let fill_grad f =
     for e = 0 to m - 1 do
-      grad.(e) <- Float.max 0.0 (value lats.(e) f.(e))
+      grad.(e) <- Float.max floor.(e) (value lats.(e) f.(e))
     done
   in
   let f = Array.make m 0.0 in
@@ -79,15 +138,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     Obs.incr c_iters;
     fill_grad f;
     Aon.assign ?jobs ?record plan net ~weights:grad ~into:y;
-    (* Relative duality gap of the linearized subproblem: the direction
-       is d = y - f, kept implicit — both dot products stream over the
-       two flow arrays. *)
-    let gap = ref 0.0 and denom = ref 0.0 in
-    for e = 0 to m - 1 do
-      gap := !gap -. (grad.(e) *. (y.(e) -. f.(e)));
-      denom := !denom +. (grad.(e) *. f.(e))
-    done;
-    relgap := !gap /. Float.max 1e-12 (Float.abs !denom);
+    (* Relative duality gap of the linearized subproblem. *)
+    let gap, denom, curv = direction_sums ~slopes ~grad ~f ~y in
+    relgap := gap /. Float.max 1e-12 (Float.abs denom);
     let obj_now = if tracing then Objective.objective obj net f else 0.0 in
     let step =
       if !relgap <= tol then begin
@@ -98,6 +151,11 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
         let gamma =
           match method_ with
           | Msa -> 1.0 /. float_of_int (!iterations + 1)
+          | Frank_wolfe when Option.is_some slopes ->
+              Obs.incr c_line_search;
+              Obs.incr c_exact;
+              let gamma = line_step ~gap ~curv in
+              if gamma <= 0.0 then 1e-12 else gamma
           | Frank_wolfe ->
               Obs.incr c_line_search;
               (* Exact line search: the directional derivative of the

@@ -42,7 +42,10 @@ val solve :
 (** [solve obj net] minimizes the Beckmann potential ([Wardrop]) or the
     total cost ([System_optimum]) to relative duality gap [tol] (default
     [1e-4]) within [max_iter] iterations (default [10_000]).
-    [Frank_wolfe] (default) takes an exact convex line-search step; [Msa]
+    [Frank_wolfe] (default) takes the exact line-search step: in closed
+    form ({!affine_step}, counted by [assign.exact_steps]) when every
+    latency reduces to a line ({!Sgr_latency.Latency.reduce}), by
+    bisection on the monotone directional derivative otherwise. [Msa]
     uses the 1/(k+1) schedule. [jobs] bounds the Dijkstra-tree fan-out
     (default: ambient pool width). *)
 
@@ -60,3 +63,13 @@ val solve_flows :
     the split evolves by the same convex combinations as the aggregate
     (x_i sums to [edge_flow] up to rounding). The [solution] — and in
     particular its [edge_flow] — is byte-identical to {!solve}'s. *)
+
+val affine_step :
+  slopes:float array -> grad:float array -> flow:float array -> target:float array -> float
+(** The exact Frank–Wolfe step when every edge gradient is a line
+    [slopes.(e)·x + b_e] (the latency slope [a_e] for [Wardrop], [2·a_e]
+    for [System_optimum]): along [d = target - flow] the directional
+    derivative [-⟨grad, d⟩ + γ·Σ slopes.(e)·d_e²] is linear in [γ], so
+    the minimizer over [[0, 1]] is its root, clamped. [grad] is the
+    gradient at [flow], [target] the all-or-nothing flow. {!solve}
+    computes the same sums inside its duality-gap pass. *)

@@ -35,9 +35,11 @@ let solve ?(grid = 64) instance ~alpha =
         if i0 = m then true
         else begin
           let suffix = Array.sub sorted_lats i0 (m - i0) in
-          let suffix_inst = Links.make suffix ~demand:(Tol.clamp_nonneg (budget -. eps)) in
-          match Links.opt suffix_inst with
-          | exception Failure _ -> false
+          (* An overloaded M/M/1 suffix is refused by [Links.make]; a
+             solver that cannot reach the demand fails: either way the
+             split is infeasible. *)
+          match Links.opt (Links.make suffix ~demand:(Tol.clamp_nonneg (budget -. eps))) with
+          | exception (Failure _ | Invalid_argument _) -> false
           | so ->
               Array.iteri (fun j x -> strategy.(order.(i0 + j)) <- x) so.assignment;
               let min_suffix_latency =
@@ -52,11 +54,11 @@ let solve ?(grid = 64) instance ~alpha =
   in
   let strategy_of i0 eps =
     let prefix = Array.sub sorted_lats 0 i0 in
-    let prefix_inst = Links.make prefix ~demand:(((1.0 -. alpha) *. r) +. eps) in
     (* Bounded-capacity prefixes (e.g. M/M/1 subsystems) may be unable to
-       absorb the Followers at all: that split is simply infeasible. *)
-    match Links.nash prefix_inst with
-    | exception Failure _ -> None
+       absorb the Followers at all — [Links.make] refuses them: that
+       split is simply infeasible. *)
+    match Links.nash (Links.make prefix ~demand:(((1.0 -. alpha) *. r) +. eps)) with
+    | exception (Failure _ | Invalid_argument _) -> None
     | pn -> strategy_of_nash i0 eps pn
   in
   let cost_of i0 eps =

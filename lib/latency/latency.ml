@@ -246,6 +246,54 @@ let rec kind_constant_value = function
 let constant_value t = kind_constant_value t.kind
 let is_constant t = Option.is_some (constant_value t)
 
+(* Allocation-free line reduction: writes the coefficients of [kind]
+   into slot [i] of the coefficient arrays and reports reducibility by
+   return value, so hot dispatch loops pay no option tuple per link. A
+   latency reduces when it behaves exactly as ℓ(x) = a·x + b on x >= 0
+   (a = 0 for constants); [Shifted] composes: base(s + x) =
+   a·x + (a·s + b). The [Polynomial] case is a structural degree test,
+   like [kind_constant_value]: any nonzero stored coefficient past the
+   linear term, however small, disqualifies the reduction. *)
+let rec reduce_kind_into kind (slopes : float array) (intercepts : float array) i =
+  match kind with
+  | Constant c ->
+      slopes.(i) <- 0.0;
+      intercepts.(i) <- c;
+      true
+  | Affine { slope; intercept } ->
+      slopes.(i) <- slope;
+      intercepts.(i) <- intercept;
+      true
+  | Polynomial coeffs ->
+      let higher = ref false in
+      for j = 2 to Array.length coeffs - 1 do
+        if (coeffs.(j) <> 0.0) [@lint.allow "float-equality"] then higher := true
+      done;
+      if !higher then false
+      else begin
+        let m = Array.length coeffs in
+        slopes.(i) <- (if m > 1 then coeffs.(1) else 0.0);
+        intercepts.(i) <- (if m > 0 then coeffs.(0) else 0.0);
+        true
+      end
+  | Shifted { offset; base } ->
+      reduce_kind_into base slopes intercepts i
+      && begin
+           intercepts.(i) <- intercepts.(i) +. (slopes.(i) *. offset);
+           true
+         end
+  | Mm1 _ | Bpr _ | Custom _ -> false
+(* why: structural recursion on the [Shifted] nesting of one latency
+   kind — depth is fixed by the instance description, not the demand,
+   so the recursion terminates in a handful of frames. *)
+[@@lint.allow "cancel-coverage"]
+
+let reduce_into t ~slopes ~intercepts i = reduce_kind_into t.kind slopes intercepts i
+
+let reduce t =
+  let a = Array.make 1 0.0 and b = Array.make 1 0.0 in
+  if reduce_into t ~slopes:a ~intercepts:b 0 then Some (a.(0), b.(0)) else None
+
 let inverse_of f t y =
   match constant_value t with
   (* [Failure] is the documented contract here; the links water-filling

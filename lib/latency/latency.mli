@@ -110,6 +110,20 @@ val constant_value : t -> float option
 
 val is_constant : t -> bool
 
+val reduce : t -> (float * float) option
+(** [reduce ℓ] is [Some (a, b)] when [ℓ(x) = a·x + b] exactly on
+    [x >= 0] ([a = 0] for constants; [Shifted] offsets fold into the
+    intercept as [b + a·s]), [None] when the latency is not a line
+    (M/M/1, BPR, higher-degree polynomials, custom). The one affine
+    reduction behind closed-form water-filling, toll pricing and the
+    exact Frank–Wolfe step. *)
+
+val reduce_into : t -> slopes:float array -> intercepts:float array -> int -> bool
+(** [reduce_into ℓ ~slopes ~intercepts i] is the allocation-free
+    {!reduce}: on success it writes [a] into [slopes.(i)] and [b] into
+    [intercepts.(i)] and returns [true]; otherwise it returns [false]
+    and the slots hold unspecified values. *)
+
 val inverse : t -> float -> float
 (** [inverse ℓ y] is the flow [x >= 0] with [ℓ(x) = y], assuming
     [ℓ(0) <= y] and strictly increasing [ℓ]; returns [0.] when [y <= ℓ(0)].

@@ -21,58 +21,6 @@ module Obs = Sgr_obs.Obs
 let c_calls = Obs.counter "links.closed_form.calls"
 let c_prunes = Obs.counter "links.closed_form.prunes"
 
-(* Allocation-free reduction for the dispatch hot path: writes the line
-   coefficients of [kind] into slot [i] of the coefficient arrays and
-   reports reducibility by return value (an [Option] tuple per link
-   costs more than the whole prefix scan at m = 100). A latency reduces
-   when it behaves exactly as ℓ(x) = a·x + b on x >= 0 (a = 0 for
-   constants); [Shifted] composes: base(s + x) = a·x + (a·s + b). The
-   [Polynomial] case is a structural degree test, like
-   [Latency.kind_constant_value]: any nonzero stored coefficient past
-   the linear term, however small, disqualifies the reduction. *)
-let rec reduce_into kind (slopes : float array) (intercepts : float array) i =
-  match kind with
-  | L.Constant c ->
-      slopes.(i) <- 0.0;
-      intercepts.(i) <- c;
-      true
-  | L.Affine { slope; intercept } ->
-      slopes.(i) <- slope;
-      intercepts.(i) <- intercept;
-      true
-  | L.Polynomial coeffs ->
-      let higher = ref false in
-      for j = 2 to Array.length coeffs - 1 do
-        if (coeffs.(j) <> 0.0) [@lint.allow "float-equality"] then higher := true
-      done;
-      if !higher then false
-      else begin
-        let m = Array.length coeffs in
-        slopes.(i) <- (if m > 1 then coeffs.(1) else 0.0);
-        intercepts.(i) <- (if m > 0 then coeffs.(0) else 0.0);
-        true
-      end
-  | L.Shifted { offset; base } ->
-      reduce_into base slopes intercepts i
-      && begin
-           intercepts.(i) <- intercepts.(i) +. (slopes.(i) *. offset);
-           true
-         end
-  | L.Mm1 _ | L.Bpr _ | L.Custom _ -> false
-(* why: structural recursion on the [Shifted] nesting of one latency
-   kind — depth is fixed by the instance description, not the demand,
-   so the recursion terminates in a handful of frames. *)
-[@@lint.allow "cancel-coverage"]
-
-(* [reduce_kind k] is [Some (a, b)] when [k] reduces to the line
-   a·x + b, [None] otherwise. *)
-let reduce_kind kind =
-  let a = Array.make 1 0.0 and b = Array.make 1 0.0 in
-  if reduce_into kind a b 0 then Some (a.(0), b.(0)) else None
-
-let reduce lat = reduce_kind (L.kind lat)
-let reducible lats = Array.for_all (fun lat -> Option.is_some (reduce lat)) lats
-
 (* Kahan sum, inlined from [Vec.sum] so the compensation order — and
    therefore the rescale divisor — matches the bisection engine bit for
    bit without paying its per-element closure. *)
@@ -259,7 +207,7 @@ let solve criterion lats ~demand =
   (* why: one early-exiting pass over the n links, constant work per
      link — bounded by the instance size before any solving starts. *)
   (while !ok && !i < n do
-     ok := reduce_into (L.kind lats.(!i)) slopes intercepts !i;
+     ok := L.reduce_into lats.(!i) ~slopes ~intercepts !i;
      incr i
    done)
   [@lint.allow "cancel-coverage"];

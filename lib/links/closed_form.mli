@@ -10,16 +10,8 @@
     prefix scan replace the bisection of [Links.water_fill]; links whose
     flow would be negative at the candidate level are pruned by
     active-set restriction ([links.closed_form.prunes] counts them, and
-    [links.closed_form.calls] the solves). *)
-
-val reduce : Sgr_latency.Latency.t -> (float * float) option
-(** [reduce ℓ] is [Some (a, b)] when [ℓ(x) = a·x + b] exactly on
-    [x >= 0] ([a = 0] for constants; [Shifted] offsets fold into the
-    intercept as [b + a·s]), [None] when the latency has no affine
-    reduction (M/M/1, BPR, higher-degree polynomials, custom). *)
-
-val reducible : Sgr_latency.Latency.t array -> bool
-(** Every link reduces — the dispatch condition for this engine. *)
+    [links.closed_form.calls] the solves). Reducibility is
+    {!Sgr_latency.Latency.reduce}. *)
 
 val solve_lines :
   slopes:float array ->

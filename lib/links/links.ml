@@ -5,10 +5,34 @@ module Tol = Sgr_numerics.Tolerance
 
 type t = { latencies : L.t array; demand : float }
 
+(* The flow below which a link's latency stays finite: an M/M/1 link's
+   capacity, less the Leader pre-load of a [Shifted] one
+   ([Latency.shift] never nests [Shifted]); [infinity] for latencies
+   finite at every flow. *)
+let capacity_of lat =
+  match L.kind lat with
+  | L.Mm1 { capacity } -> capacity
+  | L.Shifted { offset; base = L.Mm1 { capacity } } -> capacity -. offset
+  | _ -> Float.infinity
+
 let make latencies ~demand =
   if Array.length latencies = 0 then invalid_arg "Links.make: no links";
   if not (Float.is_finite demand) then invalid_arg "Links.make: non-finite demand";
   if demand < 0.0 then invalid_arg "Links.make: negative demand";
+  (* The first link decides most instances: without a capacity bound
+     the total is infinite and no scan is needed. *)
+  if demand > 0.0 && capacity_of latencies.(0) < Float.infinity then begin
+    let total = ref 0.0 in
+    for i = 0 to Array.length latencies - 1 do
+      total := !total +. Float.max 0.0 (capacity_of latencies.(i))
+    done;
+    if demand >= !total then
+      invalid_arg
+        (Printf.sprintf
+           "Links.make: demand %g is at least the total M/M/1 capacity %g, so every flow has \
+            infinite latency"
+           demand !total)
+  end;
   { latencies; demand }
 
 let num_links t = Array.length t.latencies

@@ -15,9 +15,11 @@ type t = private {
 
 val make : Sgr_latency.Latency.t array -> demand:float -> t
 (** @raise Invalid_argument if no links, [demand < 0] or [demand] is not
-    finite. (Zero demand is allowed so that recursive algorithms can
-    reach the empty game; its Nash and optimum are the all-zero
-    assignment.) *)
+    finite, or if every link is an M/M/1 link and a positive [demand] is
+    at least their total effective capacity (the capacity less the
+    offset of a [Shifted] link), so that no flow has finite latency.
+    (Zero demand is allowed so that recursive algorithms can reach the
+    empty game; its Nash and optimum are the all-zero assignment.) *)
 
 val num_links : t -> int
 

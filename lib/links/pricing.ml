@@ -38,7 +38,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
   let slopes = Array.make n 0.0 and intercepts = Array.make n 0.0 in
   Array.iteri
     (fun i lat ->
-      match Closed_form.reduce lat with
+      match Sgr_latency.Latency.reduce lat with
       | Some (a, b) when a > 0.0 ->
           slopes.(i) <- a;
           intercepts.(i) <- b

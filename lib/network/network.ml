@@ -10,10 +10,32 @@ type t = {
   commodities : commodity array;
 }
 
-let reachable g ~src ~dst =
+(* One zero-weight tree per distinct source, stopped as soon as that
+   source's sinks are settled; a sink is reachable iff it got a finite
+   distance. One workspace and one weight array serve every tree. *)
+let check_reachable g commodities =
+  let by_src = Hashtbl.create 16 in
+  Array.iter
+    (fun c ->
+      let sinks = Option.value (Hashtbl.find_opt by_src c.src) ~default:[] in
+      Hashtbl.replace by_src c.src (c.dst :: sinks))
+    commodities;
   let weights = Array.make (G.Digraph.num_edges g) 0.0 in
-  let r = G.Dijkstra.run g ~weights ~source:src in
-  r.dist.(dst) < Float.infinity
+  let workspace = G.Dijkstra.workspace () in
+  Array.iter
+    (fun c ->
+      match Hashtbl.find_opt by_src c.src with
+      | None -> () (* this source's tree already ran *)
+      | Some sinks ->
+          (* A tree can settle the whole graph; check between them so
+             validating a large instance respects the deadline. *)
+          Sgr_obs.Cancel.check ();
+          Hashtbl.remove by_src c.src;
+          let targets = Array.of_list sinks in
+          let r = G.Dijkstra.run_to ~workspace g ~weights ~source:c.src ~targets in
+          if not (Array.for_all (fun t -> r.dist.(t) < Float.infinity) targets) then
+            invalid_arg "Network.make: destination unreachable from source")
+    commodities
 
 let make graph ~latencies ~commodities =
   if Array.length latencies <> G.Digraph.num_edges graph then
@@ -21,15 +43,11 @@ let make graph ~latencies ~commodities =
   if Array.length commodities = 0 then invalid_arg "Network.make: no commodities";
   Array.iter
     (fun c ->
-      (* [reachable] is a full Dijkstra per commodity; check between
-         them so validating a large instance respects the deadline. *)
-      Sgr_obs.Cancel.check ();
       if not (Float.is_finite c.demand) then invalid_arg "Network.make: non-finite demand";
       if c.demand < 0.0 then invalid_arg "Network.make: negative demand";
-      if c.src = c.dst then invalid_arg "Network.make: source equals destination";
-      if not (reachable graph ~src:c.src ~dst:c.dst) then
-        invalid_arg "Network.make: destination unreachable from source")
+      if c.src = c.dst then invalid_arg "Network.make: source equals destination")
     commodities;
+  check_reachable graph commodities;
   { graph; latencies; commodities }
 
 let single graph ~latencies ~src ~dst ~demand =

@@ -12,6 +12,8 @@ module Tntp = Sgr_workloads.Tntp
 module Prng = Sgr_numerics.Prng
 module Vec = Sgr_numerics.Vec
 module Solver = Sgr_assign.Solver
+module Aon = Sgr_assign.Aon
+module L = Sgr_latency.Latency
 module Decompose = Sgr_assign.Decompose
 
 let small_grid seed =
@@ -49,7 +51,7 @@ let prop_msa_matches_column_gen =
   qcheck ~count:15 "edge-flow MSA matches the path-based engine (grid)" QCheck.small_nat
     (fun seed ->
       let net = small_grid seed in
-      agreement Obj.Wardrop net ~method_:Solver.Msa ~tol:1e-5)
+      agreement Obj.Wardrop net ~method_:Solver.Msa ~tol:1e-6)
 
 let prop_multicommodity_agreement =
   qcheck ~count:15 "edge-flow FW matches the path-based engine (multicommodity)"
@@ -94,6 +96,87 @@ let test_unreachable_sink_rejected () =
   match build_and_solve () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unreachable sink must be rejected"
+
+(* ---------------- sink-bounded A* trees and the exact step ---------------- *)
+
+(* Every routed path is a shortest path: its cost under the weights
+   equals a full Dijkstra's distance to the sink. Weights sit at or
+   above the free-flow floor (the A* potentials guide the trees) on
+   even seeds and below it (the trees run unguided) on odd ones. *)
+let aon_paths_are_shortest net seed =
+  let rng = Prng.create (seed + 77) in
+  let plan = Aon.plan net in
+  let floor = Aon.weight_floor plan in
+  let weights =
+    Array.map
+      (fun f ->
+        if seed mod 2 = 0 then f +. Prng.uniform rng ~lo:0.0 ~hi:(1.0 +. f)
+        else Prng.uniform rng ~lo:0.0 ~hi:(2.0 *. f))
+      floor
+  in
+  let g = net.Net.graph in
+  let m = G.Digraph.num_edges g in
+  let route jobs =
+    let paths = Array.make (Array.length net.Net.commodities) [] in
+    let into = Array.make m 0.0 in
+    Aon.assign ~jobs ~record:(fun ~commodity ~path -> paths.(commodity) <- path) plan net ~weights
+      ~into;
+    (into, paths)
+  in
+  let flow1, paths1 = route 1 and flow4, paths4 = route 4 in
+  Vec.bitwise_equal flow1 flow4
+  && paths1 = paths4
+  && Array.for_all2
+       (fun (c : Net.commodity) path ->
+         let d = (G.Dijkstra.run g ~weights ~source:c.Net.src).dist.(c.Net.dst) in
+         let cost = List.fold_left (fun acc e -> acc +. weights.(e)) 0.0 path in
+         G.Paths.is_valid g ~src:c.Net.src ~dst:c.Net.dst path
+         && Float.abs (cost -. d) <= 1e-12 *. Float.max 1.0 d)
+       net.Net.commodities paths1
+
+let prop_aon_paths_shortest =
+  qcheck ~count:40 "AON paths cost the full-Dijkstra distance at jobs 1 and 4" QCheck.small_nat
+    (fun seed ->
+      let net =
+        match seed mod 3 with 0 -> small_grid seed | 1 -> small_multi seed | _ -> small_city seed
+      in
+      aon_paths_are_shortest net seed)
+
+let prop_affine_step_matches_bisection =
+  qcheck ~count:200 "exact affine step = bisection line search (1e-9)" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create (seed + 31) in
+      let m = 1 + Prng.int rng 30 in
+      let slope () = Prng.uniform rng ~lo:0.1 ~hi:5.0 in
+      let lats =
+        Array.init m (fun i ->
+            match i mod 3 with
+            | 0 -> L.affine ~slope:(slope ()) ~intercept:(Prng.uniform rng ~lo:0.0 ~hi:3.0)
+            | 1 -> L.polynomial [| Prng.uniform rng ~lo:0.0 ~hi:3.0; slope () |]
+            | _ -> L.shift (Prng.uniform rng ~lo:0.0 ~hi:2.0) (L.linear (slope ())))
+      in
+      let f = Array.init m (fun _ -> Prng.uniform rng ~lo:0.0 ~hi:4.0) in
+      let y =
+        Array.init m (fun _ -> if Prng.bool rng then 0.0 else Prng.uniform rng ~lo:0.0 ~hi:8.0)
+      in
+      List.for_all
+        (fun (obj, k) ->
+          let value = Obj.edge_value obj in
+          let slopes = Array.map (fun lat -> k *. fst (Option.get (L.reduce lat))) lats in
+          let grad = Array.mapi (fun e lat -> value lat f.(e)) lats in
+          let exact = Solver.affine_step ~slopes ~grad ~flow:f ~target:y in
+          let dphi gamma =
+            let acc = ref 0.0 in
+            Array.iteri
+              (fun e lat ->
+                let de = y.(e) -. f.(e) in
+                acc := !acc +. (de *. value lat (f.(e) +. (gamma *. de))))
+              lats;
+            !acc
+          in
+          let bisected = Sgr_numerics.Minimize.line_search_convex ~df:dphi ~lo:0.0 ~hi:1.0 () in
+          Float.abs (exact -. bisected) <= 1e-9)
+        [ (Obj.Wardrop, 1.0); (Obj.System_optimum, 2.0) ])
 
 (* ---------------- flow decomposition ---------------- *)
 
@@ -271,6 +354,8 @@ let suite =
     case "jobs 1 and jobs 4 are byte-identical" test_jobs_byte_identity;
     case "solve_flows preserves the aggregate bitwise" test_solve_flows_same_aggregate;
     case "unreachable sink rejected" test_unreachable_sink_rejected;
+    prop_aon_paths_shortest;
+    prop_affine_step_matches_bisection;
     prop_decompose_conserves_and_recomposes;
     prop_decompose_single_commodity_default;
     case "multi-commodity decompose requires ~flows" test_decompose_multi_requires_flows;

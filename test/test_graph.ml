@@ -325,6 +325,74 @@ let prop_dijkstra_vs_bellman_ford =
         d1;
       !ok)
 
+(* A random digraph with cycles and parallel edges, [n] in 2..21. *)
+let random_cyclic_graph rng =
+  let n = 2 + Prng.int rng 20 in
+  let b = G.Digraph.builder ~num_nodes:n in
+  for _ = 1 to n + Prng.int rng (3 * n) do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then ignore (G.Digraph.add_edge b ~src:u ~dst:v)
+  done;
+  G.Digraph.freeze b
+
+(* Small integer weights, zeros included, so ties are common. *)
+let tie_weights rng g = Array.init (G.Digraph.num_edges g) (fun _ -> float_of_int (Prng.int rng 4))
+
+let prop_dijkstra_targets_match_full_run =
+  qcheck ~count:200 "sink-bounded dijkstra settles the full run's pred chains bitwise"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 700) in
+      let g = random_cyclic_graph rng in
+      let n = G.Digraph.num_nodes g in
+      let weights = tie_weights rng g in
+      let source = Prng.int rng n in
+      let targets = Array.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
+      let full = G.Dijkstra.run g ~weights ~source in
+      (* The bounded run reuses a workspace a full run from elsewhere
+         left dirty, and leaves it for another full run. *)
+      let ws = G.Dijkstra.workspace () in
+      ignore (G.Dijkstra.run ~workspace:ws g ~weights ~source:(Prng.int rng n));
+      let bounded = G.Dijkstra.run_to ~workspace:ws g ~weights ~source ~targets in
+      let srcs = G.Digraph.edge_sources g in
+      let rec chain_ok v =
+        Float.equal bounded.dist.(v) full.dist.(v)
+        && bounded.pred.(v) = full.pred.(v)
+        && (v = source || full.pred.(v) < 0 || chain_ok srcs.(full.pred.(v)))
+      in
+      let chains = Array.for_all chain_ok targets in
+      let again = G.Dijkstra.run ~workspace:ws g ~weights ~source in
+      chains && again.dist = full.dist && again.pred = full.pred)
+
+let prop_dijkstra_astar_exact =
+  qcheck ~count:200 "A* towards the sinks finds full-run distances" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create (seed + 900) in
+      let g = random_cyclic_graph rng in
+      let n = G.Digraph.num_nodes g in
+      let weights = tie_weights rng g in
+      (* Any lower bound on the weights yields a consistent potential. *)
+      let floor = Array.map (fun w -> w *. Prng.uniform rng ~lo:0.0 ~hi:1.0) weights in
+      let source = Prng.int rng n in
+      let targets = Array.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
+      let potential = G.Dijkstra.nearest_sink_distances g ~weights:floor ~sinks:targets in
+      let full = G.Dijkstra.run g ~weights ~source in
+      let guided = G.Dijkstra.run_to ~potential g ~weights ~source ~targets in
+      let srcs = G.Digraph.edge_sources g in
+      let rec path_cost v acc =
+        if v = source then acc
+        else
+          let e = guided.pred.(v) in
+          path_cost srcs.(e) (acc +. weights.(e))
+      in
+      Array.for_all
+        (fun t ->
+          if full.dist.(t) = Float.infinity then guided.dist.(t) = Float.infinity
+          else
+            Float.abs (guided.dist.(t) -. full.dist.(t)) <= 1e-12 *. Float.max 1.0 full.dist.(t)
+            && Float.abs (path_cost t 0.0 -. full.dist.(t))
+               <= 1e-12 *. Float.max 1.0 full.dist.(t))
+        targets)
+
 let prop_maxflow_has_min_cut_certificate =
   (* Max-flow/min-cut: the set of nodes reachable in the residual graph
      defines a cut whose capacity equals the flow value. *)
@@ -434,6 +502,8 @@ let suite =
     prop_dijkstra_vs_enumeration;
     prop_dijkstra_csr_vs_list_oracle;
     prop_dijkstra_vs_bellman_ford;
+    prop_dijkstra_targets_match_full_run;
+    prop_dijkstra_astar_exact;
     prop_maxflow_min_cut_saturation;
     prop_maxflow_has_min_cut_certificate;
     prop_decompose_roundtrip;

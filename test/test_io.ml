@@ -151,7 +151,10 @@ let test_file_errors () =
   expect_error "network\nnodes 2\ncommodity 0 1 1\n" "edge";
   expect_error "network\nnodes 2\nedge 0 1 x\n" "commodity";
   expect_error "network\nnodes 2\nedge 0 5 x\ncommodity 0 1 1\n" "range";
-  expect_error "links\ndemand 1\nlink owl\n" "parse"
+  expect_error "links\ndemand 1\nlink owl\n" "parse";
+  expect_error "links\ndemand 3\nlink mm1 1\nlink mm1 1\n" "capacity";
+  (* Two sinks share one source's reachability tree; the second is cut off. *)
+  expect_error "network\nnodes 3\nedge 0 1 x\ncommodity 0 1 1\ncommodity 0 2 1\n" "unreachable"
 
 let test_non_finite_files () =
   List.iter

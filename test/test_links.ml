@@ -90,15 +90,26 @@ let test_induced_infeasible_strategy () =
   | _ -> Alcotest.fail "negative strategy rejected"
 
 let test_mm1_overload_fails () =
-  (* Demand beyond total capacity has no equilibrium: the solver must
-     fail loudly, not return garbage. *)
-  let t = Links.make [| L.mm1 ~capacity:0.4; L.mm1 ~capacity:0.4 |] ~demand:1.0 in
-  (match Links.nash t with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "overloaded M/M/1 nash must fail");
-  match Links.opt t with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "overloaded M/M/1 opt must fail"
+  (* Demand at or beyond the total capacity has no finite-latency flow:
+     construction refuses it, so no solver ever bisects towards an
+     infinite level. *)
+  let overloaded lats demand =
+    match Links.make lats ~demand with exception Invalid_argument _ -> true | _ -> false
+  in
+  check_true "beyond capacity" (overloaded [| L.mm1 ~capacity:0.4; L.mm1 ~capacity:0.4 |] 1.0);
+  check_true "exactly at capacity" (overloaded [| L.mm1 ~capacity:1.0; L.mm1 ~capacity:1.0 |] 2.0);
+  (* A Leader pre-load shrinks a link's effective capacity. *)
+  let shifted = [| L.shift 0.5 (L.mm1 ~capacity:1.0); L.mm1 ~capacity:1.0 |] in
+  check_true "shifted capacity counts net of its offset" (overloaded shifted 1.5);
+  check_true "below the shifted capacity is fine" (not (overloaded shifted 1.4));
+  (* One link without a capacity absorbs any demand. *)
+  check_true "mixed instance accepted"
+    (not (overloaded [| L.mm1 ~capacity:1.0; L.affine ~slope:1.0 ~intercept:0.0 |] 3.0));
+  check_true "zero demand accepted" (not (overloaded [| L.shift 1.0 (L.mm1 ~capacity:1.0) |] 0.0));
+  (* Under capacity both solvers still converge. *)
+  let t = Links.make [| L.mm1 ~capacity:1.0; L.mm1 ~capacity:1.0 |] ~demand:1.5 in
+  approx "under capacity nash splits evenly" 0.75 (Links.nash t).assignment.(0);
+  approx "under capacity opt splits evenly" 0.75 (Links.opt t).assignment.(0)
 
 let test_induced_full_budget () =
   (* The Leader may own the whole flow; the Followers then route 0. *)
@@ -263,7 +274,7 @@ let prop_shifted_reduce_exact =
       let rng = Prng.create (seed + 11) in
       let a = Prng.uniform rng ~lo:0.1 ~hi:5.0 and b = Prng.uniform rng ~lo:0.0 ~hi:5.0 in
       let s = Prng.uniform rng ~lo:0.0 ~hi:3.0 in
-      match CF.reduce (L.shift s (L.affine ~slope:a ~intercept:b)) with
+      match L.reduce (L.shift s (L.affine ~slope:a ~intercept:b)) with
       | Some (a', b') -> Float.equal a' a && Float.equal b' (b +. (a *. s))
       | None -> false)
 

@@ -125,9 +125,21 @@ let test_fw_convergence_trace () =
   (* The hot-path counters ticked underneath. *)
   let counter name = List.assoc name (Obs.counters ()) in
   Alcotest.(check bool) "dijkstra ran" true (counter "dijkstra.runs" > 0);
-  Alcotest.(check bool) "bisection ran (line search)" true (counter "bisection.calls" > 0);
+  (* Braess's latencies are all lines, so every line search is the
+     closed-form step and bisection never runs. *)
+  Alcotest.(check int) "every line search is an exact affine step"
+    (counter "assign.line_searches") (counter "assign.exact_steps");
+  Alcotest.(check bool) "line searches ran" true (counter "assign.line_searches" > 0);
+  Alcotest.(check int) "no bisection on affine latencies" 0 (counter "bisection.calls");
   Alcotest.(check int) "one all-or-nothing per iteration plus the start"
-    (sol.Solver.iterations + 1) (counter "assign.aon_calls")
+    (sol.Solver.iterations + 1) (counter "assign.aon_calls");
+  (* BPR latencies are not lines: the line search still bisects. *)
+  Obs.reset_counters ();
+  let grid = W.grid_network (Sgr_numerics.Prng.create 3) ~rows:3 ~cols:3 () in
+  let sol = Helpers.fw ~tol:1e-3 Obj.System_optimum grid in
+  Alcotest.(check bool) "BPR grid converged" true (sol.Solver.relative_gap <= 1e-3);
+  Alcotest.(check bool) "bisection ran (line search)" true (counter "bisection.calls" > 0);
+  Alcotest.(check int) "no exact step on BPR latencies" 0 (counter "assign.exact_steps")
 
 let test_mop_spans_and_counters () =
   Obs.reset_counters ();
