@@ -138,15 +138,15 @@ let t8 =
     [
       Test.make ~name:"column-gen/grid5x5"
         (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g5)));
+             ignore (Eq.solve Obj.Wardrop g5)));
       Test.make ~name:"exhaustive/grid5x5"
-        (Staged.stage (fun () -> ignore (Eq.solve ~engine:Eq.Exhaustive Obj.Wardrop g5)));
+        (Staged.stage (fun () -> ignore (Eq.exhaustive Obj.Wardrop g5)));
       Test.make ~name:"column-gen/grid8x8"
         (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g8)));
+             ignore (Eq.solve Obj.Wardrop g8)));
       Test.make ~name:"column-gen/grid10x10"
         (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g10)));
+             ignore (Eq.solve Obj.Wardrop g10)));
       Test.make ~name:"mop/grid10x10"
         (Staged.stage (fun () -> ignore (Stackelberg.Mop.run g10)));
       Test.make ~name:"induced/fig7-no-revalidation"
@@ -461,9 +461,10 @@ let run_t11 ~requests ~instances ~reuse () =
    leader-flow [Latency.shift] wraps every latency in a Shifted kind,
    which the engine reduces without leaving closed form). The headline
    numbers are median ns per nash+opt solve pair for both engines and
-   the speedup, plus the [bisection.iterations] spent by the T1/T3-style
-   workloads under auto dispatch vs forced bisection — the quick gate
-   requires >= 10x on the mid size and a >= 90% iteration drop. *)
+   the speedup, plus the [bisection.iterations] spent by a T1/T3-style
+   workload under the automatic dispatch vs the bisection oracle on its
+   T1 instances — the quick gate requires >= 10x on the mid size and a
+   >= 90% iteration drop. *)
 
 type t12_result = {
   entry : obs_entry;
@@ -472,14 +473,18 @@ type t12_result = {
   bisect_iters : int;
 }
 
-(* [bisection.iterations] burned by a miniature T1 + T3 workload when the
-   ambient default engine is [engine] — the zero-call-site-change
-   inheritance the dispatch promises. *)
-let t12_iterations_with engine =
-  let prev = Links.default_engine () in
-  Links.set_default_engine engine;
-  Fun.protect ~finally:(fun () -> Links.set_default_engine prev) @@ fun () ->
+(* [bisection.iterations] burned while [f] runs. *)
+let bisection_iterations f =
   let before = Obs.counters () in
+  f ();
+  match List.assoc_opt "bisection.iterations" (counter_delta before (Obs.counters ())) with
+  | Some v -> v
+  | None -> 0
+
+(* The miniature T1 + T3 workload under the automatic dispatch, which
+   every caller inherits without a call-site change. *)
+let t12_auto_iterations () =
+  bisection_iterations @@ fun () ->
   List.iter
     (fun m ->
       let t = links_instance m in
@@ -488,10 +493,18 @@ let t12_iterations_with engine =
     [ 10; 100 ];
   let t3 = W.random_common_slope_links (Prng.create 3008) ~m:8 ~demand:1.0 () in
   let alpha = 0.7 *. Float.max 0.05 (Stackelberg.Optop.beta t3) in
-  ignore (Stackelberg.Linear_exact.solve t3 ~alpha);
-  match List.assoc_opt "bisection.iterations" (counter_delta before (Obs.counters ())) with
-  | Some v -> v
-  | None -> 0
+  ignore (Stackelberg.Linear_exact.solve t3 ~alpha)
+
+(* The bisection oracle on the same T1 instances only: the T3 part
+   counts on the auto side alone, so the gate can only be stricter. *)
+let t12_oracle_iterations () =
+  bisection_iterations @@ fun () ->
+  List.iter
+    (fun m ->
+      let t = links_instance m in
+      ignore (Links.bisection_nash t);
+      ignore (Links.bisection_opt t))
+    [ 10; 100 ]
 
 let run_t12 ~sizes ~repeats () =
   let t0 = Obs.now () in
@@ -509,11 +522,11 @@ let run_t12 ~sizes ~repeats () =
       median_ns_interleaved ~repeats ~batch
         [|
           (fun () ->
-            ignore (Links.nash ~engine:`Closed_form t);
-            ignore (Links.opt ~engine:`Closed_form t));
+            ignore (Links.nash t);
+            ignore (Links.opt t));
           (fun () ->
-            ignore (Links.nash ~engine:`Bisection t);
-            ignore (Links.opt ~engine:`Bisection t));
+            ignore (Links.bisection_nash t);
+            ignore (Links.bisection_opt t));
         |]
     in
     let cf = medians.(0) and bi = medians.(1) in
@@ -535,9 +548,9 @@ let run_t12 ~sizes ~repeats () =
       bench (Printf.sprintf "affine/m=%d" m) (links_instance m);
       bench (Printf.sprintf "tolled/m=%d" m) (tolled_instance m))
     sizes;
-  let auto_iters = t12_iterations_with `Auto in
-  let bisect_iters = t12_iterations_with `Bisection in
-  Format.printf "  %-28s %8d  (auto dispatch, vs %d forced bisection)@."
+  let auto_iters = t12_auto_iterations () in
+  let bisect_iters = t12_oracle_iterations () in
+  Format.printf "  %-28s %8d  (auto dispatch, vs %d bisection oracle)@."
     "bisection.iterations" auto_iters bisect_iters;
   counters :=
     ("t12.auto.bisection_iterations", auto_iters)

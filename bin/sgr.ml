@@ -72,6 +72,15 @@ let require_network = function
       Format.eprintf "error: this command needs a network instance@.";
       exit 2
 
+(* A cost past the float range would print as [inf], and a ratio of two
+   such costs as [nan]: refuse the instance with the reason instead. *)
+let require_finite_costs costs =
+  match List.find_opt (fun (_, c) -> not (Float.is_finite c)) costs with
+  | None -> ()
+  | Some (name, c) ->
+      Format.eprintf "error: %s = %g is not finite (the costs overflow the float range)@." name c;
+      exit 2
+
 (* ---------------- arguments ---------------- *)
 
 let file_arg =
@@ -101,33 +110,6 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:"Print the observability summary (counters, span totals) to stderr on exit.")
 
-let solver_arg =
-  let engine =
-    Arg.enum [ ("column-gen", Eq.Column_generation); ("exhaustive", Eq.Exhaustive) ]
-  in
-  Arg.(
-    value
-    & opt engine Eq.Column_generation
-    & info [ "solver" ] ~docv:"ENGINE"
-        ~doc:
-          "Path-equilibration engine: $(b,column-gen) (default) prices paths on demand and \
-           scales to networks with exponentially many paths; $(b,exhaustive) enumerates every \
-           simple path up front (oracle for small instances; capped at 20,000 paths).")
-
-let links_solver_arg =
-  let engine =
-    Arg.enum [ ("auto", `Auto); ("closed-form", `Closed_form); ("bisection", `Bisection) ]
-  in
-  Arg.(
-    value
-    & opt engine `Auto
-    & info [ "links-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Parallel-links water-filling engine: $(b,auto) (default) solves instances whose \
-           latencies are all affine/constant in closed form (O(m log m), no bisection) and \
-           bisects on the common level otherwise; $(b,closed-form) and $(b,bisection) force one \
-           side (closed-form still falls back on links with no affine reduction).")
-
 let jobs_arg =
   Arg.(
     value
@@ -150,9 +132,7 @@ let fixed_clock_arg =
 
 let obs_term =
   Term.(
-    const (fun trace stats engine links_engine jobs fixed_clock ->
-        Eq.set_default_engine engine;
-        Links.set_default_engine links_engine;
+    const (fun trace stats jobs fixed_clock ->
         Option.iter Sgr_par.Pool.set_default_jobs jobs;
         if fixed_clock then begin
           let ticks = ref 0.0 in
@@ -161,22 +141,25 @@ let obs_term =
               !ticks)
         end;
         (trace, stats))
-    $ trace_arg $ stats_arg $ solver_arg $ links_solver_arg $ jobs_arg $ fixed_clock_arg)
+    $ trace_arg $ stats_arg $ jobs_arg $ fixed_clock_arg)
 
 (* ---------------- solve ---------------- *)
 
 let solve_links t =
   let nash = Links.nash t and opt = Links.opt t in
+  let cn = Links.cost t nash.assignment and co = Links.cost t opt.assignment in
+  require_finite_costs [ ("C(N)", cn); ("C(O)", co) ];
   diag "instance: %d parallel links, r = %g@." (Links.num_links t) t.Links.demand;
   Format.printf "nash     = %a  (common latency %.6g)@." Vec.pp nash.assignment nash.level;
   Format.printf "optimum  = %a  (marginal level %.6g)@." Vec.pp opt.assignment opt.level;
-  Format.printf "C(N) = %.6g, C(O) = %.6g, price of anarchy = %.6g@."
-    (Links.cost t nash.assignment) (Links.cost t opt.assignment) (Links.price_of_anarchy t)
+  Format.printf "C(N) = %.6g, C(O) = %.6g, price of anarchy = %.6g@." cn co
+    (Links.price_of_anarchy t)
 
 let solve_network net =
   let nash = Eq.solve Obj.Wardrop net in
   let opt = Eq.solve Obj.System_optimum net in
   let cn = Net.cost net nash.edge_flow and co = Net.cost net opt.edge_flow in
+  require_finite_costs [ ("C(N)", cn); ("C(O)", co) ];
   diag "instance: %d nodes, %d edges, %d commodities, r = %g@."
     (Sgr_graph.Digraph.num_nodes net.Net.graph)
     (Sgr_graph.Digraph.num_edges net.Net.graph)
@@ -340,6 +323,8 @@ let optop_cmd =
     with_obs ~trace ~stats (fun () ->
         let t = require_links (load_instance path) in
         let r = Stackelberg.Optop.run t in
+        require_finite_costs
+          [ ("C(N)", r.nash_cost); ("C(O)", r.optimum_cost); ("C(S+T)", r.induced_cost) ];
         if rounds then
           List.iteri
             (fun i (round : Stackelberg.Optop.round) ->
@@ -368,6 +353,8 @@ let mop_cmd =
     with_obs ~trace ~stats @@ fun () ->
     let net = require_network (load_instance path) in
     let r = Stackelberg.Mop.run net in
+    require_finite_costs
+      [ ("C(N)", r.nash_cost); ("C(O)", r.opt_cost); ("C(S+T)", r.induced.cost) ];
     Format.printf "beta (strong) = %.9g@." r.beta;
     Format.printf "beta (weak)   = %.9g@." r.beta_weak;
     Format.printf "C(N)          = %.9g@." r.nash_cost;
@@ -417,11 +404,13 @@ let heuristic_cmd name doc links_play net_play =
     match load_instance path with
     | IF.Links t ->
         let o : Stackelberg.Strategies.outcome = links_play t ~alpha in
+        require_finite_costs [ ("C(S+T)", o.induced_cost) ];
         Format.printf "strategy  = %a@." Vec.pp o.strategy;
         Format.printf "C(S+T)    = %.9g@." o.induced_cost;
         Format.printf "ratio     = %.9g@." o.ratio_to_opt
     | IF.Network n ->
         let o : Stackelberg.Net_strategies.outcome = net_play n ~alpha in
+        require_finite_costs [ ("C(S+T)", o.induced.cost) ];
         Format.printf "leader edge flow = %a@." Vec.pp o.leader_edge_flow;
         Format.printf "C(S+T)    = %.9g@." o.induced.cost;
         Format.printf "ratio     = %.9g@." o.ratio_to_opt
@@ -580,18 +569,21 @@ let tolls_cmd =
     | IF.Links t ->
         let tolls = Stackelberg.Tolls.links_tolls t in
         let eq, cost = Stackelberg.Tolls.links_outcome t in
+        let co = Links.cost t (Links.opt t).assignment in
+        require_finite_costs [ ("latency cost", cost); ("C(O)", co) ];
         Format.printf "tolls           = %a@." Vec.pp tolls;
         Format.printf "tolled flow     = %a@." Vec.pp eq;
         Format.printf "latency cost    = %.9g@." cost;
-        Format.printf "optimum C(O)    = %.9g@." (Links.cost t (Links.opt t).assignment)
+        Format.printf "optimum C(O)    = %.9g@." co
     | IF.Network net ->
         let tolls = Stackelberg.Tolls.network_tolls net in
         let flow, cost = Stackelberg.Tolls.network_outcome net in
-        let opt = Eq.solve Obj.System_optimum net in
+        let co = Net.cost net (Eq.solve Obj.System_optimum net).edge_flow in
+        require_finite_costs [ ("latency cost", cost); ("C(O)", co) ];
         Format.printf "tolls           = %a@." Vec.pp tolls;
         Format.printf "tolled flow     = %a@." Vec.pp flow;
         Format.printf "latency cost    = %.9g@." cost;
-        Format.printf "optimum C(O)    = %.9g@." (Net.cost net opt.edge_flow)
+        Format.printf "optimum C(O)    = %.9g@." co
   in
   Cmd.v
     (Cmd.info "tolls"
@@ -614,8 +606,10 @@ let pricing_cmd =
     let t = require_links (load_instance path) in
     match Sgr_links.Pricing.best_response ~max_rounds:rounds t with
     | r ->
+        let co = Links.cost t (Links.opt t).assignment in
+        require_finite_costs [ ("user cost", r.user_cost); ("C(O)", co) ];
         Format.printf "%a@." Sgr_links.Pricing.pp r;
-        Format.printf "optimum C(O)    = %.9g@." (Links.cost t (Links.opt t).assignment);
+        Format.printf "optimum C(O)    = %.9g@." co;
         Format.printf "price of pricing = %.6g@." (Sgr_links.Pricing.price_of_pricing t r)
     | exception Invalid_argument m ->
         Format.eprintf "error: %s@." m;

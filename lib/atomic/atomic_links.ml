@@ -50,12 +50,12 @@ let best_response t profile ~player =
   let shifted = Array.mapi (fun i lat -> L.shift (Tol.clamp_nonneg others.(i)) lat) t.latencies in
   (Links.opt (Links.make shifted ~demand:t.demands.(player))).assignment
 
-let equilibrium ?(tol = 1e-9) ?(max_rounds = 10_000) t =
+let equilibrium t =
   let m = num_links t and n = num_players t in
   let profile = Array.init n (fun _ -> Array.make m 0.0) in
   let rounds = ref 0 in
   let moved = ref Float.infinity in
-  while !moved > tol && !rounds < max_rounds do
+  while !moved > 1e-9 && !rounds < 10_000 do
     incr rounds;
     moved := 0.0;
     for k = 0 to n - 1 do

@@ -45,11 +45,10 @@ val player_cost : t -> profile -> int -> float
 val best_response : t -> profile -> player:int -> float array
 (** Player [k]'s exact best response to the others' current loads. *)
 
-val equilibrium : ?tol:float -> ?max_rounds:int -> t -> profile * int
+val equilibrium : t -> profile * int
 (** Round-robin best-response dynamics from the empty profile until no
-    player moves more than [tol] (default [1e-9]) in max-norm, or
-    [max_rounds] (default [10_000]) sweeps. Returns the profile and the
-    number of sweeps used. *)
+    player moves more than [1e-9] in max-norm, or [10_000] sweeps.
+    Returns the profile and the number of sweeps used. *)
 
 val is_equilibrium : ?eps:float -> t -> profile -> bool
 (** Every player's strategy is within [eps] (default

@@ -41,7 +41,7 @@ let player_cost t profile k =
 
 (* Best response = system optimum of the others-shifted network,
    restricted to player k's own commodity. *)
-let best_response ?tol t profile ~player =
+let best_response t profile ~player =
   let others = Array.make (num_edges t) 0.0 in
   Array.iteri (fun k x -> if k <> player then Vec.axpy 1.0 x others) profile;
   for e = 0 to num_edges t - 1 do
@@ -49,18 +49,18 @@ let best_response ?tol t profile ~player =
   done;
   let shifted = Net.shift t.network others in
   let solo = Net.with_commodities shifted [| t.network.Net.commodities.(player) |] in
-  (Eq.solve ?tol Obj.System_optimum solo).Eq.edge_flow
+  (Eq.solve Obj.System_optimum solo).Eq.edge_flow
 
-let equilibrium ?(tol = 1e-8) ?(max_rounds = 2_000) t =
+let equilibrium t =
   let m = num_edges t and n = num_players t in
   let profile = Array.init n (fun _ -> Array.make m 0.0) in
   let rounds = ref 0 in
   let moved = ref Float.infinity in
-  while !moved > tol && !rounds < max_rounds do
+  while !moved > 1e-8 && !rounds < 2_000 do
     incr rounds;
     moved := 0.0;
     for k = 0 to n - 1 do
-      let br = best_response ~tol:(tol /. 10.0) t profile ~player:k in
+      let br = best_response t profile ~player:k in
       moved := Float.max !moved (Vec.linf_dist br profile.(k));
       profile.(k) <- br
     done

@@ -36,12 +36,13 @@ val social_cost : t -> profile -> float
 val player_cost : t -> profile -> int -> float
 (** [Σ_e x_e·ℓ_e(X_e)] for player [k]'s own edge flow [x]. *)
 
-val best_response : ?tol:float -> t -> profile -> player:int -> float array
+val best_response : t -> profile -> player:int -> float array
 (** Exact best response (system optimum of the shifted network). *)
 
-val equilibrium : ?tol:float -> ?max_rounds:int -> t -> profile * int
+val equilibrium : t -> profile * int
 (** Round-robin best responses from the empty profile; stops when no
-    player moves more than [tol] (default [1e-8]) in max-norm. *)
+    player moves more than [1e-8] in max-norm, or after [2_000] rounds.
+    Returns the profile and the number of rounds. *)
 
 val is_equilibrium : ?eps:float -> t -> profile -> bool
 (** Every player is within [eps] (default [1e-5]) of its best-response

@@ -32,12 +32,12 @@ let point_of ~beta ~opt_cost ~common_slope ~m ~grid_resolution instance alpha =
     { alpha; ratio = ratio_of best; method_used = Heuristic_upper_bound }
   end
 
-let at ?(grid_resolution = 32) instance ~alpha =
+let at instance ~alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Alpha_sweep.at: alpha not in [0, 1]";
   let optop = Optop.run instance in
   point_of ~beta:optop.Optop.beta ~opt_cost:optop.Optop.optimum_cost
     ~common_slope:(Linear_exact.is_common_slope instance)
-    ~m:(Links.num_links instance) ~grid_resolution instance alpha
+    ~m:(Links.num_links instance) ~grid_resolution:32 instance alpha
 
 let range ?jobs ?(grid_resolution = 32) instance ~lo ~hi ~samples =
   if samples < 2 then invalid_arg "Alpha_sweep.range: need at least two samples";

@@ -34,11 +34,11 @@ val ratio_of : opt_cost:float -> float -> float
     zero, [infinity] when [opt_cost] is zero but [cost] is positive —
     the Leader pays something where paying nothing was possible. *)
 
-val at : ?grid_resolution:int -> Sgr_links.Links.t -> alpha:float -> point
-(** One point of the curve, computed exactly as {!run} would compute the
-    sample at this [alpha] (so a served point query and a sweep sample
-    agree byte for byte). Runs OpTop once per call; use {!range} to
-    amortize it over many points.
+val at : Sgr_links.Links.t -> alpha:float -> point
+(** One point of the curve, computed exactly as {!run} at its default
+    [grid_resolution] (32) would compute the sample at this [alpha] (so
+    a served point query and a sweep sample agree byte for byte). Runs
+    OpTop once per call; use {!range} to amortize it over many points.
     @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
 val range :

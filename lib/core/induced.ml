@@ -10,7 +10,7 @@ type outcome = {
   wardrop_gap : float;
 }
 
-let equilibrium ?tol net ~leader_edge_flow ~follower_demands =
+let equilibrium net ~leader_edge_flow ~follower_demands =
   Sgr_obs.Obs.span "induced.equilibrium" @@ fun () ->
   let g = net.Net.graph in
   if Array.length leader_edge_flow <> Sgr_graph.Digraph.num_edges g then
@@ -27,7 +27,7 @@ let equilibrium ?tol net ~leader_edge_flow ~follower_demands =
   let shifted =
     Net.with_demands shifted (Array.map Sgr_numerics.Tolerance.clamp_nonneg follower_demands)
   in
-  let sol = Equilibrate.solve ?tol Objective.Wardrop shifted in
+  let sol = Equilibrate.solve Objective.Wardrop shifted in
   let combined = Vec.add leader_edge_flow sol.Equilibrate.edge_flow in
   {
     follower_edge_flow = sol.Equilibrate.edge_flow;
@@ -36,5 +36,5 @@ let equilibrium ?tol net ~leader_edge_flow ~follower_demands =
     wardrop_gap = sol.Equilibrate.gap;
   }
 
-let cost_of_strategy ?tol net ~leader_edge_flow ~follower_demands =
-  (equilibrium ?tol net ~leader_edge_flow ~follower_demands).cost
+let cost_of_strategy net ~leader_edge_flow ~follower_demands =
+  (equilibrium net ~leader_edge_flow ~follower_demands).cost

@@ -15,7 +15,6 @@ type outcome = {
 }
 
 val equilibrium :
-  ?tol:float ->
   Sgr_network.Network.t ->
   leader_edge_flow:float array ->
   follower_demands:float array ->
@@ -27,7 +26,6 @@ val equilibrium :
     @raise Invalid_argument on size mismatches or negative values. *)
 
 val cost_of_strategy :
-  ?tol:float ->
   Sgr_network.Network.t ->
   leader_edge_flow:float array ->
   follower_demands:float array ->

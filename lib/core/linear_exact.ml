@@ -31,7 +31,10 @@ let is_common_slope ?(eps = 1e-12) instance =
            params
   | None -> false
 
-let solve ?(grid = 64) instance ~alpha =
+(* Seed points of the convex search in [ε]. *)
+let grid = 64
+
+let solve instance ~alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then
     invalid_arg "Linear_exact.solve: alpha must be in [0, 1]";
   if not (is_common_slope instance) then

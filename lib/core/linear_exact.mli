@@ -30,14 +30,13 @@ type result = {
   candidates : candidate list;  (** Best candidate per feasible split. *)
 }
 
-val solve : ?grid:int -> Sgr_links.Links.t -> alpha:float -> result
+val solve : Sgr_links.Links.t -> alpha:float -> result
 (** [solve t ~alpha] requires every latency affine with one common
     positive slope.
     @raise Invalid_argument otherwise, or when [alpha ∉ [0,1]].
 
-    [grid] (default 64) is the number of seed points for the convex
-    search in [ε] (each refined by golden section), guarding against
-    flat/boundary degeneracies. *)
+    The convex search in [ε] starts from 64 seed points (each refined
+    by golden section), guarding against flat/boundary degeneracies. *)
 
 val is_common_slope : ?eps:float -> Sgr_links.Links.t -> bool
 (** Whether the instance is in Theorem 2.4's class. *)

@@ -41,14 +41,14 @@ let per_commodity_edge_flows net (sol : Equilibrate.solution) =
       edge)
     sol.path_flows
 
-let run ?(tol = 1e-9) ?(eps = 1e-6) net =
+let run net =
   Obs.incr c_runs;
   Obs.span "mop.solve" @@ fun () ->
   let g = net.Net.graph in
   let m = G.Digraph.num_edges g in
   let k = Array.length net.Net.commodities in
   (* Step 1: the optimum and the edge costs it induces. *)
-  let opt_sol = Obs.span "mop.optimum" (fun () -> Equilibrate.solve ~tol Objective.System_optimum net) in
+  let opt_sol = Obs.span "mop.optimum" (fun () -> Equilibrate.solve Objective.System_optimum net) in
   let opt_edge_flow = opt_sol.edge_flow in
   let weights = Net.edge_latencies net opt_edge_flow in
   let commodity_flows = per_commodity_edge_flows net opt_sol in
@@ -60,9 +60,10 @@ let run ?(tol = 1e-9) ?(eps = 1e-6) net =
            solves above and below checkpoint per sweep/round. *)
         Sgr_obs.Cancel.check ();
         let c = net.Net.commodities.(i) in
+        (* The shortest-path slack must dominate the solver's gap (1e-9). *)
         let on_shortest =
           Obs.span "mop.subgraph" (fun () ->
-              G.Dijkstra.shortest_edge_subgraph ~eps g ~weights ~src:c.Net.src ~dst:c.Net.dst)
+              G.Dijkstra.shortest_edge_subgraph ~eps:1e-6 g ~weights ~src:c.Net.src ~dst:c.Net.dst)
         in
         (* Free flow: max flow inside the shortest subgraph, capacitated by
            this commodity's optimal edge flow (footnote 5). *)
@@ -111,9 +112,9 @@ let run ?(tol = 1e-9) ?(eps = 1e-6) net =
       0.0 per_commodity
   in
   let opt_cost = Net.cost net opt_edge_flow in
-  let nash_sol = Obs.span "mop.nash" (fun () -> Equilibrate.solve ~tol Objective.Wardrop net) in
+  let nash_sol = Obs.span "mop.nash" (fun () -> Equilibrate.solve Objective.Wardrop net) in
   let nash_cost = Net.cost net nash_sol.edge_flow in
-  let induced = Induced.equilibrium ~tol net ~leader_edge_flow ~follower_demands in
+  let induced = Induced.equilibrium net ~leader_edge_flow ~follower_demands in
   {
     beta;
     beta_weak;
@@ -126,16 +127,16 @@ let run ?(tol = 1e-9) ?(eps = 1e-6) net =
     induced;
   }
 
-let beta ?tol ?eps net = (run ?tol ?eps net).beta
+let beta net = (run net).beta
 
-let verify_minimality ?(tol = 1e-9) ?(delta = 0.05) net result =
+let verify_minimality net result =
   let ok = ref true in
   Array.iteri
     (fun i (rep : commodity_report) ->
       List.iter
         (fun (path, amount) ->
           if amount > 1e-6 then begin
-            let release = Float.max 1e-3 (delta *. amount) in
+            let release = Float.max 1e-3 (0.05 *. amount) in
             let release = Float.min release amount in
             (* Cap at the bottleneck leader flow along the path: releasing
                more than some edge carries would be absorbed by the
@@ -155,7 +156,7 @@ let verify_minimality ?(tol = 1e-9) ?(delta = 0.05) net result =
               let follower_demands = Array.copy result.follower_demands in
               follower_demands.(i) <- follower_demands.(i) +. release;
               let outcome =
-                Induced.equilibrium ~tol net ~leader_edge_flow:leader ~follower_demands
+                Induced.equilibrium net ~leader_edge_flow:leader ~follower_demands
               in
               if
                 outcome.Induced.cost <= result.opt_cost +. (1e-7 *. Float.max 1.0 result.opt_cost)

@@ -50,18 +50,18 @@ type result = {
           [induced.combined_edge_flow = O] up to solver tolerance. *)
 }
 
-val run : ?tol:float -> ?eps:float -> Sgr_network.Network.t -> result
-(** [tol] — inner solver tolerance (default [1e-9]); [eps] — slack used to
-    classify an edge as lying on a shortest path (default [1e-6],
-    which must dominate [tol]). *)
+val run : Sgr_network.Network.t -> result
+(** The equilibria are solved to gap [1e-9] ({!Sgr_network.Equilibrate});
+    an edge lies on a shortest path when the cheapest path through it is
+    within [1e-6] (relative) of the shortest distance, a slack that
+    dominates that gap. *)
 
-val beta : ?tol:float -> ?eps:float -> Sgr_network.Network.t -> float
+val beta : Sgr_network.Network.t -> float
 
-val verify_minimality :
-  ?tol:float -> ?delta:float -> Sgr_network.Network.t -> result -> bool
+val verify_minimality : Sgr_network.Network.t -> result -> bool
 (** Numerical check of Section 5.1's minimality argument: for each Leader
-    path, releasing a [delta] (default [0.05] of the path's controlled
-    flow, at least [1e-3]) back to the Followers yields an induced cost
+    path, releasing [0.05] of the path's controlled flow (at least
+    [1e-3]) back to the Followers yields an induced cost
     strictly above [C(O)] — i.e. no part of the Leader's flow is
     dispensable. Returns [false] if any release stays optimal (within
     solver noise). Skips paths carrying less than [1e-6] flow. *)

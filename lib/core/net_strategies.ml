@@ -13,23 +13,23 @@ type outcome = {
 let check_alpha alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Net_strategies: alpha must be in [0, 1]"
 
-let finish ?tol net ~leader_edge_flow ~follower_demands =
-  let induced = Induced.equilibrium ?tol net ~leader_edge_flow ~follower_demands in
-  let opt = Eq.solve ?tol Obj.System_optimum net in
+let finish net ~leader_edge_flow ~follower_demands =
+  let induced = Induced.equilibrium net ~leader_edge_flow ~follower_demands in
+  let opt = Eq.solve Obj.System_optimum net in
   let opt_cost = Net.cost net opt.edge_flow in
   let ratio_to_opt = Alpha_sweep.ratio_of ~opt_cost induced.Induced.cost in
   { leader_edge_flow; induced; ratio_to_opt }
 
-let scale ?tol net ~alpha =
+let scale net ~alpha =
   check_alpha alpha;
-  let opt = Eq.solve ?tol Obj.System_optimum net in
+  let opt = Eq.solve Obj.System_optimum net in
   let leader_edge_flow = Vec.scale alpha opt.edge_flow in
   let follower_demands = Array.map (fun c -> (1.0 -. alpha) *. c.Net.demand) net.Net.commodities in
-  finish ?tol net ~leader_edge_flow ~follower_demands
+  finish net ~leader_edge_flow ~follower_demands
 
-let llf ?tol net ~alpha =
+let llf net ~alpha =
   check_alpha alpha;
-  let opt = Eq.solve ?tol Obj.System_optimum net in
+  let opt = Eq.solve Obj.System_optimum net in
   let costs = Net.edge_latencies net opt.edge_flow in
   let m = G.Digraph.num_edges net.Net.graph in
   let leader_edge_flow = Array.make m 0.0 in
@@ -56,9 +56,9 @@ let llf ?tol net ~alpha =
         (1.0 -. alpha) *. c.Net.demand +. !budget)
       net.Net.commodities
   in
-  finish ?tol net ~leader_edge_flow ~follower_demands
+  finish net ~leader_edge_flow ~follower_demands
 
-let aloof ?tol net =
+let aloof net =
   let m = G.Digraph.num_edges net.Net.graph in
   let follower_demands = Array.map (fun c -> c.Net.demand) net.Net.commodities in
-  finish ?tol net ~leader_edge_flow:(Array.make m 0.0) ~follower_demands
+  finish net ~leader_edge_flow:(Array.make m 0.0) ~follower_demands

@@ -18,13 +18,13 @@ type outcome = {
   ratio_to_opt : float;  (** [C(S+T)/C(O)] — the a-posteriori anarchy cost. *)
 }
 
-val scale : ?tol:float -> Sgr_network.Network.t -> alpha:float -> outcome
+val scale : Sgr_network.Network.t -> alpha:float -> outcome
 (** Weak strategy: every commodity gives up the same fraction [α].
     @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
-val llf : ?tol:float -> Sgr_network.Network.t -> alpha:float -> outcome
+val llf : Sgr_network.Network.t -> alpha:float -> outcome
 (** Path-based LLF with per-commodity budget [α·rᵢ].
     @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
-val aloof : ?tol:float -> Sgr_network.Network.t -> outcome
+val aloof : Sgr_network.Network.t -> outcome
 (** The empty strategy: Followers produce the plain Wardrop flow. *)

@@ -22,7 +22,10 @@ type result = {
   induced_cost : float;
 }
 
-let run ?(eps = 1e-8) instance =
+(* Relative tolerance of the under-loaded test [nᵢ < oᵢ]. *)
+let eps = 1e-8
+
+let run instance =
   Obs.span "optop.solve" @@ fun () ->
   let m = Links.num_links instance in
   let r0 = instance.Links.demand in
@@ -76,4 +79,4 @@ let run ?(eps = 1e-8) instance =
     induced_cost = Links.stackelberg_cost instance ~strategy;
   }
 
-let beta ?eps instance = (run ?eps instance).beta
+let beta instance = (run instance).beta

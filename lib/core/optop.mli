@@ -33,9 +33,9 @@ type result = {
           tolerance (checked by the test suite). *)
 }
 
-val run : ?eps:float -> Sgr_links.Links.t -> result
-(** [eps] is the relative tolerance for the under-loaded test
-    [nᵢ < oᵢ] (default [1e-8]). *)
+val run : Sgr_links.Links.t -> result
+(** A link counts as under-loaded ([nᵢ < oᵢ]) when it falls short by more
+    than [1e-8] relative to [max 1 r]. *)
 
-val beta : ?eps:float -> Sgr_links.Links.t -> float
+val beta : Sgr_links.Links.t -> float
 (** Just the price of optimum. *)

@@ -6,7 +6,10 @@ module Vec = Sgr_numerics.Vec
 
 type result = { strategy : float array; induced_cost : float; i0 : int; epsilon : float }
 
-let solve ?(grid = 64) instance ~alpha =
+(* Seed points of the inner ε-search. *)
+let grid = 64
+
+let solve instance ~alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then
     invalid_arg "Partition_heuristic.solve: alpha must be in [0, 1]";
   let m = Links.num_links instance in

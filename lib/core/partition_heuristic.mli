@@ -24,8 +24,8 @@ type result = {
   epsilon : float;  (** Leader flow merged into the prefix. *)
 }
 
-val solve : ?grid:int -> Sgr_links.Links.t -> alpha:float -> result
-(** [solve t ~alpha] searches all splits; [grid] (default 64) seeds the
-    inner ε-search. Always returns a feasible strategy (worst case: the
+val solve : Sgr_links.Links.t -> alpha:float -> result
+(** [solve t ~alpha] searches all splits; 64 grid points seed the inner
+    ε-search. Always returns a feasible strategy (worst case: the
     useless proportional-to-Nash strategy, costing [C(N)]).
     @raise Invalid_argument when [alpha ∉ [0,1]]. *)

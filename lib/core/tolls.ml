@@ -26,16 +26,16 @@ let links_outcome instance =
   let eq = (Links.nash tolled).assignment in
   (eq, Links.cost instance eq)
 
-let network_tolls ?tol net =
-  let opt = (Eq.solve ?tol Obj.System_optimum net).Eq.edge_flow in
+let network_tolls net =
+  let opt = (Eq.solve Obj.System_optimum net).Eq.edge_flow in
   Array.mapi (fun e o -> o *. L.deriv net.Net.latencies.(e) o) opt
 
-let tolled_network ?tol net =
-  let tolls = network_tolls ?tol net in
+let tolled_network net =
+  let tolls = network_tolls net in
   let latencies = Array.mapi (fun e lat -> add_toll_exact lat tolls.(e)) net.Net.latencies in
   Net.make net.Net.graph ~latencies ~commodities:net.Net.commodities
 
-let network_outcome ?tol net =
-  let tolled = tolled_network ?tol net in
-  let eq = (Eq.solve ?tol Obj.Wardrop tolled).Eq.edge_flow in
+let network_outcome net =
+  let tolled = tolled_network net in
+  let eq = (Eq.solve Obj.Wardrop tolled).Eq.edge_flow in
   (eq, Net.cost net eq)

@@ -30,12 +30,12 @@ val links_outcome : Sgr_links.Links.t -> float array * float
 
 (** {1 Networks} *)
 
-val network_tolls : ?tol:float -> Sgr_network.Network.t -> float array
+val network_tolls : Sgr_network.Network.t -> float array
 (** Per-edge marginal-cost toll [o_e·ℓ_e'(o_e)]. *)
 
-val tolled_network : ?tol:float -> Sgr_network.Network.t -> Sgr_network.Network.t
+val tolled_network : Sgr_network.Network.t -> Sgr_network.Network.t
 (** The network with [ℓ_e(x) + τ_e] on every edge. *)
 
-val network_outcome : ?tol:float -> Sgr_network.Network.t -> float array * float
+val network_outcome : Sgr_network.Network.t -> float array * float
 (** [(edge_flow, latency_cost)] of the tolled Wardrop equilibrium —
     again [C(O)] under the original latencies. *)

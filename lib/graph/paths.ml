@@ -39,8 +39,8 @@ let enumerate ?(limit = 20_000) g ~src ~dst =
   let rec dfs v acc =
     if v = dst then begin
       incr count;
-      (* [Failure] is the documented cap contract: the CLI catches it to
-         degrade gracefully on path-explosive networks. *)
+      (* [Failure] is the documented cap contract of the enumeration
+         oracle; no solver the CLI or the server runs enumerates. *)
       if !count > limit then
         (failwith "Paths.enumerate: path count exceeds limit") [@lint.allow "no-untyped-failure"];
       found := List.rev acc :: !found

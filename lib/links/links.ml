@@ -151,34 +151,22 @@ let water_fill ~value ~inverse t =
 
 module Closed_form = Closed_form
 
-type engine = [ `Auto | `Closed_form | `Bisection ]
-
-(* The ambient engine, mirroring [Equilibrate]'s dispatch: [`Auto] takes
-   the closed-form path exactly when every link is affine-reducible, so
-   results are a function of the instance alone. Atomic because solves
-   run on pool worker domains. *)
-let engine_ref : engine Atomic.t = Atomic.make `Auto
-
-let set_default_engine e = Atomic.set engine_ref e
-let default_engine () = Atomic.get engine_ref
-
 let c_fallbacks = Sgr_obs.Obs.counter "links.closed_form.fallbacks"
 
-let solve_with ~criterion ~value ~inverse ?engine t =
-  let engine = match engine with Some e -> e | None -> default_engine () in
-  match engine with
-  | `Bisection -> water_fill ~value ~inverse t
-  | `Auto | `Closed_form ->
-      (match Closed_form.solve criterion t.latencies ~demand:t.demand with
-      | Some (assignment, level) -> { assignment; level }
-      | None ->
-          Sgr_obs.Obs.incr c_fallbacks;
-          water_fill ~value ~inverse t)
+(* Closed form exactly when every link latency reduces to a line, else
+   the bisection water-fill: the choice is a function of the instance
+   alone. *)
+let solve_with ~criterion ~value ~inverse t =
+  match Closed_form.solve criterion t.latencies ~demand:t.demand with
+  | Some (assignment, level) -> { assignment; level }
+  | None ->
+      Sgr_obs.Obs.incr c_fallbacks;
+      water_fill ~value ~inverse t
 
-let nash ?engine t = solve_with ~criterion:`Nash ~value:L.eval ~inverse:L.inverse ?engine t
-
-let opt ?engine t =
-  solve_with ~criterion:`Opt ~value:L.marginal ~inverse:L.inverse_marginal ?engine t
+let nash t = solve_with ~criterion:`Nash ~value:L.eval ~inverse:L.inverse t
+let opt t = solve_with ~criterion:`Opt ~value:L.marginal ~inverse:L.inverse_marginal t
+let bisection_nash t = water_fill ~value:L.eval ~inverse:L.inverse t
+let bisection_opt t = water_fill ~value:L.marginal ~inverse:L.inverse_marginal t
 
 let price_of_anarchy t =
   let n = nash t and o = opt t in

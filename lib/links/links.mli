@@ -5,8 +5,9 @@
     the Nash/Wardrop equilibrium [N] (all loaded links share a common
     latency [L_N]; unloaded links have latency [>= L_N], Remark 4.1) and the
     Optimum [O] (same condition on *marginal costs*, by convexity of
-    [x·ℓ(x)]). Both are computed by water-filling: bisect on the common
-    level and invert each link's level function. *)
+    [x·ℓ(x)]). Both are computed by water-filling: find the common level
+    (in closed form when every latency is a line, by bisection otherwise)
+    and invert each link's level function. *)
 
 type t = private {
   latencies : Sgr_latency.Latency.t array;  (** One latency per link. *)
@@ -55,26 +56,23 @@ type solution = {
 module Closed_form = Closed_form
 (** The O(m log m) affine fast engine; see {!Closed_form}. *)
 
-type engine = [ `Auto | `Closed_form | `Bisection ]
-(** Which water-filling engine {!nash}/{!opt} run. [`Auto] (the default)
-    dispatches to {!Closed_form} exactly when every link latency is
-    affine-reducible and bisects otherwise; [`Closed_form] and
-    [`Bisection] force one side ([`Closed_form] still falls back — and
-    counts [links.closed_form.fallbacks] — when a link does not
-    reduce). *)
-
-val set_default_engine : engine -> unit
-(** Set the ambient engine used when no [?engine] is passed. *)
-
-val default_engine : unit -> engine
-
-val nash : ?engine:engine -> t -> solution
+val nash : t -> solution
 (** The Wardrop equilibrium of [(M, r)]. Unique for strictly increasing
     latencies; with constant-latency links, ties at the level are split
-    evenly (the cost is invariant to the split). *)
+    evenly (the cost is invariant to the split). Solved by
+    {!Closed_form} when every link latency reduces to a line (affine,
+    constant, toll-shifted affine), by bisection on the common level
+    otherwise, counting [links.closed_form.fallbacks]. *)
 
-val opt : ?engine:engine -> t -> solution
-(** The optimum assignment of [(M, r)]. *)
+val opt : t -> solution
+(** The optimum assignment of [(M, r)], dispatched like {!nash}. *)
+
+val bisection_nash : t -> solution
+(** {!nash} by bisection on the common level, whatever the latencies:
+    the oracle the closed form is checked against. *)
+
+val bisection_opt : t -> solution
+(** {!opt} by bisection; see {!bisection_nash}. *)
 
 val price_of_anarchy : t -> float
 (** [C(N)/C(O)]. *)

@@ -31,7 +31,7 @@ let c_probes = Obs.counter "links.pricing.probes"
 
 let golden = 0.5 *. (Float.sqrt 5.0 -. 1.0)
 
-let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
+let best_response ?(max_rounds = 64) (t : Links.t) =
   let n = Links.num_links t in
   if n < 2 then
     invalid_arg "Pricing.best_response: a monopolist prices unboundedly; need >= 2 links";
@@ -144,7 +144,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
         tolls.(i) <- next
       done;
       let scale = Array.fold_left Float.max 1.0 tolls in
-      if !moved <= tol *. scale then converged := true
+      if !moved <= 1e-9 *. scale then converged := true
     done;
     let flow, level = equilibrium () in
     let revenues = Array.mapi (fun i x -> tolls.(i) *. x) flow in

@@ -21,11 +21,11 @@ type result = {
   converged : bool;  (** False when the round budget ran out first. *)
 }
 
-val best_response : ?max_rounds:int -> ?tol:float -> Links.t -> result
+val best_response : ?max_rounds:int -> Links.t -> result
 (** Cyclic best-response dynamics: each owner in turn maximizes revenue
     against the others' current tolls (grid scan + golden-section over
-    [0, τᵢᵐᵃˣ]), until a full round moves no toll by more than [tol]
-    (relative; default [1e-9]) or [max_rounds] (default 64) rounds pass.
+    [0, τᵢᵐᵃˣ]), until a full round moves no toll by more than [1e-9]
+    (relative) or [max_rounds] (default 64) rounds pass.
     A converged point is a pure Nash equilibrium of the pricing game up
     to the search resolution. Deterministic.
     @raise Invalid_argument on fewer than two links (a monopolist prices

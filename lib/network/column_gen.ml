@@ -18,6 +18,13 @@ let c_columns = Obs.counter "column_gen.columns"
    its own scratch arrays across rounds. *)
 let ws_key = Domain.DLS.new_key (fun () -> G.Dijkstra.workspace ())
 
+(* The stopping rule: a Wardrop (resp. optimality) gap of [tol], within
+   at most [max_sweeps] equalization sweeps summed over all pricing
+   rounds and at most [max_rounds] rounds. *)
+let tol = 1e-9
+let max_sweeps = 200_000
+let max_rounds = 1_000
+
 type solution = {
   edge_flow : float array;
   path_flows : float array array;
@@ -112,17 +119,17 @@ let equalize_once value net ~edge_flow ~ps ~flows =
   end
 
 (* Gauss–Seidel sweeps over every commodity until the active-set gap
-   falls below [tol] or the sweep budget runs out. Mutates [edge_flow]
+   falls below [tol] or [budget] sweeps have run. Mutates [edge_flow]
    and [path_flows]; returns the number of sweeps performed. Trace
    points continue the caller's numbering from [k0]. *)
-let equalize ?(k0 = 0) obj net ~edge_flow ~paths ~path_flows ~tol ~max_sweeps =
+let equalize ?(k0 = 0) obj net ~edge_flow ~paths ~path_flows ~budget =
   let value = Objective.edge_value obj in
   let k = Array.length net.Network.commodities in
   let sweeps = ref 0 in
   let gap = ref Float.infinity in
   let tracing = Obs.enabled () in
   let cancel = Sgr_obs.Cancel.handle () in
-  while !gap > tol && !sweeps < max_sweeps do
+  while !gap > tol && !sweeps < budget do
     Sgr_obs.Cancel.check_handle cancel;
     incr sweeps;
     Obs.incr c_sweeps;
@@ -140,10 +147,8 @@ let equalize ?(k0 = 0) obj net ~edge_flow ~paths ~path_flows ~tol ~max_sweeps =
   !sweeps
 
 (* Equalize on a fixed, caller-provided path set — the exhaustive oracle
-   when [paths] is the full enumeration. Behaviour (initialization
-   order, sweep counts, bisections) matches the historical
-   [Equilibrate.solve] exactly. *)
-let solve_on_paths ?(tol = 1e-9) ?(max_sweeps = 200_000) obj net ~paths =
+   when [paths] is the full enumeration. *)
+let solve_on_paths obj net ~paths =
   let value = Objective.edge_value obj in
   let m = G.Digraph.num_edges net.Network.graph in
   let edge_flow = Array.make m 0.0 in
@@ -163,7 +168,7 @@ let solve_on_paths ?(tol = 1e-9) ?(max_sweeps = 200_000) obj net ~paths =
         flows)
       net.Network.commodities
   in
-  let sweeps = equalize obj net ~edge_flow ~paths ~path_flows ~tol ~max_sweeps in
+  let sweeps = equalize obj net ~edge_flow ~paths ~path_flows ~budget:max_sweeps in
   (* Report the true residual gap at the final flow. *)
   let final_gap =
     let worst = ref 0.0 in
@@ -175,7 +180,7 @@ let solve_on_paths ?(tol = 1e-9) ?(max_sweeps = 200_000) obj net ~paths =
   in
   { edge_flow; path_flows; paths; sweeps; gap = final_gap }
 
-let solve ?(tol = 1e-9) ?(max_sweeps = 200_000) ?(max_rounds = 1_000) obj net =
+let solve obj net =
   Obs.span "column_gen.solve" @@ fun () ->
   let value = Objective.edge_value obj in
   let g = net.Network.graph in
@@ -225,8 +230,8 @@ let solve ?(tol = 1e-9) ?(max_sweeps = 200_000) ?(max_rounds = 1_000) obj net =
        [tol] (relative at scale). *)
     sweeps :=
       !sweeps
-      + equalize ~k0:!sweeps obj net ~edge_flow ~paths:active ~path_flows:flows ~tol
-          ~max_sweeps:(max_sweeps - !sweeps);
+      + equalize ~k0:!sweeps obj net ~edge_flow ~paths:active ~path_flows:flows
+          ~budget:(max_sweeps - !sweeps);
     let w = weights () in
     (* Pricing Dijkstras are independent across commodities, so they may
        run on the ambient pool; each returns a fresh path (no workspace

@@ -7,13 +7,14 @@
     new columns by running Dijkstra on the current edge values — the
     latencies for a Wardrop equilibrium, the marginals for the system
     optimum — and admits the shortest path whenever it undercuts the
-    cheapest active column by more than [tol]. Convergence is declared
-    when no commodity prices a new column, at which point every used
-    column's cost is within [tol] of a network-wide shortest path, i.e.
-    the true Wardrop (resp. optimality) gap is at most [tol].
+    cheapest active column by more than [1e-9] (relative at scale).
+    Convergence is declared when no commodity prices a new column, at
+    which point every used column's cost is within [1e-9] of a
+    network-wide shortest path, i.e. the true Wardrop (resp.
+    optimality) gap is at most [1e-9].
 
-    This is the default engine behind {!Equilibrate.solve}; the
-    enumeration-based oracle remains available through
+    This is the solver behind {!Equilibrate.solve}; the
+    enumeration-based oracle {!Equilibrate.exhaustive} runs
     {!solve_on_paths} for cross-checking on small instances. *)
 
 type solution = {
@@ -21,28 +22,22 @@ type solution = {
   path_flows : float array array;
       (** Per-commodity path flows, aligned with [paths]. *)
   paths : Sgr_graph.Paths.t array array;
-      (** The path sets the solver worked over: every simple path under
-          the exhaustive engine, the priced active columns under column
-          generation. *)
+      (** The path sets the solver worked over: the priced active
+          columns under column generation, the caller's set under
+          {!solve_on_paths}. *)
   sweeps : int;  (** Number of full commodity equalization sweeps. *)
   gap : float;
       (** Max over commodities of (costliest used path − cheapest path)
           under the objective's edge values at termination. *)
 }
 
-val solve :
-  ?tol:float ->
-  ?max_sweeps:int ->
-  ?max_rounds:int ->
-  Objective.t ->
-  Network.t ->
-  solution
+val solve : Objective.t -> Network.t -> solution
 (** [solve obj net] runs pricing rounds until no commodity admits a new
-    column (or [max_rounds], default [1_000], rounds elapse), keeping
-    the total equalization sweeps across all rounds under [max_sweeps]
-    (default [200_000]). [gap] in the result is the true residual gap —
-    costliest used column against the network-wide Dijkstra shortest
-    path — not merely the active-set gap.
+    column (or [1_000] rounds elapse), keeping the total equalization
+    sweeps across all rounds under [200_000]. [gap] in the result is
+    the true residual gap — costliest used column against the
+    network-wide Dijkstra shortest path — not merely the active-set
+    gap.
 
     Counters: [column_gen.pricing_rounds], [column_gen.columns], and
     the shared [equilibrate.sweeps]. Span: [column_gen.solve]. Trace
@@ -51,16 +46,10 @@ val solve :
     under solver ["equilibrate"]. *)
 
 val solve_on_paths :
-  ?tol:float ->
-  ?max_sweeps:int ->
-  Objective.t ->
-  Network.t ->
-  paths:Sgr_graph.Paths.t array array ->
-  solution
-(** Equalize on a fixed caller-provided path set — the exhaustive
-    oracle when [paths] is the full enumeration. Initialization order,
-    sweep counts, and bisections match the historical
-    [Equilibrate.solve] exactly. *)
+  Objective.t -> Network.t -> paths:Sgr_graph.Paths.t array array -> solution
+(** Equalize on a fixed caller-provided path set, to the same gap
+    ([1e-9]) and sweep budget ([200_000]) as {!solve} — the exhaustive
+    oracle when [paths] is the full enumeration. *)
 
 val commodity_gap :
   Objective.t ->

@@ -6,18 +6,15 @@
     matters). Each shift strictly decreases the convex objective, so the
     sweep converges; the stopping rule is the Wardrop gap itself.
 
-    Two engines provide the path sets the sweeps work over:
+    {!solve} prices paths on demand with Dijkstra ({!Column_gen}) and
+    keeps only a small active column set per commodity, so it scales
+    to networks whose simple-path count is exponential (e.g. large
+    grids). {!exhaustive} enumerates every simple path up front via
+    {!Network.paths} and is kept as an oracle for cross-checking on
+    small instances; it inherits {!Sgr_graph.Paths.enumerate}'s
+    20,000-path cap. *)
 
-    - {!Column_generation} (the default) prices paths on demand with
-      Dijkstra and keeps only a small active column set per commodity,
-      so it scales to networks whose simple-path count is exponential
-      (e.g. large grids).
-    - {!Exhaustive} enumerates every simple path up front via
-      {!Network.paths} — the historical behaviour, kept as an oracle
-      for cross-checking on small instances. It inherits
-      {!Sgr_graph.Paths.enumerate}'s 20,000-path cap. *)
-
-(** Both engines return {!Column_gen.solution}; see there for the fields. *)
+(** Both solvers return {!Column_gen.solution}; see there for the fields. *)
 type solution = Column_gen.solution = {
   edge_flow : float array;
   path_flows : float array array;
@@ -26,21 +23,14 @@ type solution = Column_gen.solution = {
   gap : float;
 }
 
-type engine =
-  | Column_generation  (** Price columns on demand ({!Column_gen}). *)
-  | Exhaustive  (** Enumerate all simple paths up front. *)
+val solve : Objective.t -> Network.t -> solution
+(** [solve obj net] runs column generation ({!Column_gen.solve}) until
+    [gap <= 1e-9] or [200_000] sweeps. *)
 
-val set_default_engine : engine -> unit
-(** Set the ambient engine used when {!solve} is called without
-    [?engine]. Initially {!Column_generation}. *)
-
-val default_engine : unit -> engine
-
-val solve :
-  ?tol:float -> ?max_sweeps:int -> ?engine:engine -> Objective.t -> Network.t -> solution
-(** [solve obj net] runs until [gap <= tol] (default [1e-9]) or
-    [max_sweeps] (default [200_000]) sweeps, using [engine] (default:
-    the ambient {!default_engine}). *)
+val exhaustive : Objective.t -> Network.t -> solution
+(** The enumeration oracle: {!Column_gen.solve_on_paths} over every
+    simple path of [net], to the same gap and sweep budget as {!solve}.
+    @raise Failure past {!Sgr_graph.Paths.enumerate}'s path cap. *)
 
 val verify :
   ?eps:float -> Objective.t -> Network.t -> solution -> bool

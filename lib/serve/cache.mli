@@ -2,13 +2,12 @@
 
     A bounded {!Lru} of parsed instances keyed by canonical
     {!Fingerprint}, plus a per-instance memo of finished reply payloads
-    keyed by the request's canonical key (request kind, parameters and
-    the active solver engine). Holding the parsed
-    {!Sgr_io.Instance_file.t} keeps the frozen {!Sgr_graph.Digraph} CSR
-    arrays alive across requests, so a repeated query re-runs neither
-    [freeze] nor the equilibrium solver; per-domain Dijkstra workspaces
-    are already reused underneath via [Domain.DLS] (see
-    docs/performance.md).
+    keyed by the request's canonical key (request kind and parameters).
+    Holding the parsed {!Sgr_io.Instance_file.t} keeps the frozen
+    {!Sgr_graph.Digraph} CSR arrays alive across requests, so a
+    repeated query re-runs neither [freeze] nor the equilibrium solver;
+    per-domain Dijkstra workspaces are already reused underneath via
+    [Domain.DLS] (see docs/performance.md).
 
     {b Locking choice: one cache-wide mutex, not sharded locks.} Every
     LRU/binding/memo table operation takes the same internal mutex, so

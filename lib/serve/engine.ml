@@ -31,6 +31,18 @@ exception Reply of string
 
 let wrong_kind what needs = raise (Reply (P.error_reply `Solve (what ^ " needs a " ^ needs)))
 
+(* A cost past the float range is no answer: reply with the reason. The
+   reply escapes [Cache.memo] as an exception, so it is never memoized. *)
+let require_finite costs =
+  match List.find_opt (fun (_, c) -> not (Float.is_finite c)) costs with
+  | None -> ()
+  | Some (name, c) ->
+      raise
+        (Reply
+           (P.error_reply `Solve
+              (Printf.sprintf "%s=%s is not finite (the costs overflow the float range)" name
+                 (fs c))))
+
 let method_str = function
   | Stackelberg.Alpha_sweep.Exact_threshold -> "threshold"
   | Stackelberg.Alpha_sweep.Linear_exact -> "thm2.4"
@@ -39,8 +51,8 @@ let method_str = function
 
 (* The id-independent reply payload: this is what the memo stores, so an
    instance reached under two ids shares one cache line. Must stay a
-   deterministic function of (instance, request, engine) — no cache
-   state, no clocks, no job count. *)
+   deterministic function of (instance, request) — no cache state, no
+   clocks, no job count. *)
 let payload (entry : Cache.entry) (req : P.request) =
   match (req, entry.Cache.instance) with
   | P.Solve { obj; _ }, inst ->
@@ -54,6 +66,7 @@ let payload (entry : Cache.entry) (req : P.request) =
             let o = match obj with `Nash -> Obj.Wardrop | `Opt -> Obj.System_optimum in
             Net.cost net (Eq.solve o net).Eq.edge_flow
       in
+      require_finite [ ("cost", cost) ];
       Printf.sprintf "obj=%s cost=%s" name (fs cost)
   | P.Assign { obj; method_; _ }, IF.Network net ->
       let o = match obj with `Nash -> Obj.Wardrop | `Opt -> Obj.System_optimum in
@@ -75,21 +88,29 @@ let payload (entry : Cache.entry) (req : P.request) =
   | P.Assign _, IF.Links _ -> wrong_kind "assign" "network instance"
   | P.Optop _, IF.Links t ->
       let r = Stackelberg.Optop.run t in
+      require_finite
+        [ ("nash_cost", r.nash_cost); ("opt_cost", r.optimum_cost);
+          ("induced_cost", r.induced_cost) ];
       Printf.sprintf "beta=%s nash_cost=%s opt_cost=%s induced_cost=%s" (fs r.Stackelberg.Optop.beta)
         (fs r.nash_cost) (fs r.optimum_cost) (fs r.induced_cost)
   | P.Optop _, IF.Network _ -> wrong_kind "optop" "parallel-links instance"
   | P.Mop _, IF.Network net ->
       let r = Stackelberg.Mop.run net in
+      require_finite
+        [ ("nash_cost", r.nash_cost); ("opt_cost", r.opt_cost);
+          ("induced_cost", r.induced.Stackelberg.Induced.cost) ];
       Printf.sprintf "beta=%s beta_weak=%s nash_cost=%s opt_cost=%s induced_cost=%s"
         (fs r.Stackelberg.Mop.beta) (fs r.beta_weak) (fs r.nash_cost) (fs r.opt_cost)
         (fs r.induced.Stackelberg.Induced.cost)
   | P.Mop _, IF.Links _ -> wrong_kind "mop" "network instance"
   | P.Induced { alpha; _ }, IF.Links t ->
       let o = Stackelberg.Strategies.llf t ~alpha in
+      require_finite [ ("cost", o.Stackelberg.Strategies.induced_cost) ];
       Printf.sprintf "alpha=%s cost=%s ratio=%s" (fs alpha)
         (fs o.Stackelberg.Strategies.induced_cost) (fs o.ratio_to_opt)
   | P.Induced { alpha; _ }, IF.Network net ->
       let o = Stackelberg.Net_strategies.llf net ~alpha in
+      require_finite [ ("cost", o.Stackelberg.Net_strategies.induced.Stackelberg.Induced.cost) ];
       Printf.sprintf "alpha=%s cost=%s ratio=%s" (fs alpha)
         (fs o.Stackelberg.Net_strategies.induced.Stackelberg.Induced.cost) (fs o.ratio_to_opt)
   | P.Sweep_point { alpha; _ }, IF.Links t ->

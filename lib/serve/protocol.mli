@@ -56,8 +56,7 @@ val request_kind : request -> string
 val memo_key : request -> string option
 (** Canonical memo key for requests whose reply payload is a pure,
     deterministic function of the instance — [None] for [load] and the
-    session-level requests, whose replies depend on cache state. The
-    key embeds the active solver engine. *)
+    session-level requests, whose replies depend on cache state. *)
 
 val float_str : float -> string
 (** [%.9g] — the reply float format. *)

@@ -259,8 +259,7 @@ let engines_agree t =
     close cf.level bi.level
     && Array.for_all2 (fun x y -> close x y) cf.assignment bi.assignment
   in
-  agree (Links.nash ~engine:`Closed_form t) (Links.nash ~engine:`Bisection t)
-  && agree (Links.opt ~engine:`Closed_form t) (Links.opt ~engine:`Bisection t)
+  agree (Links.nash t) (Links.bisection_nash t) && agree (Links.opt t) (Links.bisection_opt t)
 
 let prop_closed_form_matches_oracle =
   qcheck "closed form ≍ bisection oracle on reducible games" QCheck.small_nat (fun seed ->
@@ -303,24 +302,29 @@ let test_closed_form_edges () =
   | None -> Alcotest.fail "affine instance must reduce");
   (* Single link takes everything. *)
   let t1 = Links.make [| L.affine ~slope:2.0 ~intercept:1.0 |] ~demand:3.0 in
-  let n1 = Links.nash ~engine:`Closed_form t1 in
+  let n1 = Links.nash t1 in
   approx "single-link flow" 3.0 n1.assignment.(0);
   approx "single-link level" 7.0 n1.level;
   (* All-constant: the reservoir semantics — cheapest constants split. *)
   let tc = Links.make [| L.constant 1.0; L.constant 1.0; L.constant 2.0 |] ~demand:3.0 in
-  let nc = Links.nash ~engine:`Closed_form tc in
+  let nc = Links.nash tc in
   approx_array "constants split evenly" [| 1.5; 1.5; 0.0 |] nc.assignment;
-  approx "level pinned at the reservoir" 1.0 nc.level
+  approx "level pinned at the reservoir" 1.0 nc.level;
+  (* Pigou: one line against the constant reservoir, in closed form. *)
+  let fallbacks = counter_value "links.closed_form.fallbacks" in
+  check_true "pigou agrees with oracle" (engines_agree W.pigou);
+  check_true "pigou stays in closed form"
+    (counter_value "links.closed_form.fallbacks" = fallbacks)
 
 let test_closed_form_fallback () =
-  (* A forced closed-form engine on an M/M/1 game cannot reduce: it must
-     fall back to bisection, count the fallback, and agree with it. *)
+  (* An M/M/1 game cannot reduce to lines: [nash] must fall back to
+     bisection, count the fallback, and agree with the oracle. *)
   let t = W.mm1_links ~capacities:[| 2.0; 3.0 |] ~demand:1.0 in
   let before = counter_value "links.closed_form.fallbacks" in
-  let forced = Links.nash ~engine:`Closed_form t in
+  let auto = Links.nash t in
   check_true "fallback counted" (counter_value "links.closed_form.fallbacks" > before);
   approx_array "fallback result is the bisection result"
-    (Links.nash ~engine:`Bisection t).assignment forced.assignment
+    (Links.bisection_nash t).assignment auto.assignment
 
 (* ---------------- Best-response toll pricing ---------------- *)
 

@@ -178,37 +178,53 @@ let test_with_demands () =
   | _ -> Alcotest.fail "negative demand rejected"
 
 let test_engine_selection () =
-  let saved = Eq.default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Eq.set_default_engine saved)
-    (fun () ->
-      Eq.set_default_engine Eq.Exhaustive;
-      let net = W.fig7 () in
-      let ex = Eq.solve Obj.Wardrop net in
-      Alcotest.(check int) "exhaustive works over all simple paths" 3
-        (Array.length ex.paths.(0));
-      let cg = Eq.solve ~engine:Eq.Column_generation Obj.Wardrop net in
-      check_true "explicit engine overrides the ambient default"
-        (Array.length cg.paths.(0) <= 3);
-      check_true "engines agree" (Vec.linf_dist ex.edge_flow cg.edge_flow <= 1e-6))
+  (* [solve] (column generation) against the exhaustive oracle on the
+     pinned instances: same flows, and the same costs at the precision
+     [sgr solve] prints them. *)
+  let pigou =
+    Net.single
+      (G.Digraph.of_edges ~num_nodes:2 [ (0, 1); (0, 1) ])
+      ~latencies:[| L.linear 1.0; L.constant 1.0 |]
+      ~src:0 ~dst:1 ~demand:1.0
+  in
+  List.iter
+    (fun (name, net, paths) ->
+      List.iter
+        (fun obj ->
+          let ex = Eq.exhaustive obj net in
+          let cg = Eq.solve obj net in
+          Alcotest.(check int) (name ^ ": the oracle works over all simple paths") paths
+            (Array.length ex.paths.(0));
+          check_true (name ^ ": column generation prices no more")
+            (Array.length cg.paths.(0) <= paths);
+          check_true (name ^ ": flows agree") (Vec.linf_dist ex.edge_flow cg.edge_flow <= 1e-6);
+          Alcotest.(check string) (name ^ ": printed costs agree")
+            (Printf.sprintf "%.6g" (Net.cost net ex.edge_flow))
+            (Printf.sprintf "%.6g" (Net.cost net cg.edge_flow)))
+        [ Obj.Wardrop; Obj.System_optimum ])
+    [ ("fig7", W.fig7 (), 3); ("pigou", pigou, 2); ("braess", W.braess_classic (), 3) ]
 
 let test_column_gen_past_enumeration_limit () =
-  (* A 10x10 grid has C(18,9) = 48620 s-t paths — the exhaustive engine's
-     enumeration hard-fails, column generation prices a handful. *)
+  (* A 10x10 grid has C(18,9) = 48620 s-t paths — the exhaustive
+     oracle's enumeration hard-fails, column generation prices a
+     handful. *)
   let rng = Prng.create 1 in
   let net = W.grid_network rng ~rows:10 ~cols:10 () in
-  let sol = Eq.solve ~engine:Eq.Column_generation Obj.Wardrop net in
+  let sol = Eq.solve Obj.Wardrop net in
   check_true "wardrop gap closed" (sol.gap <= 1e-6);
   check_true "few columns priced" (Array.length sol.paths.(0) < 100);
-  approx "demand routed" net.Net.commodities.(0).Net.demand (Vec.sum sol.path_flows.(0))
+  approx "demand routed" net.Net.commodities.(0).Net.demand (Vec.sum sol.path_flows.(0));
+  match Eq.exhaustive Obj.Wardrop net with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the oracle refuses past its enumeration cap"
 
 let prop_column_gen_matches_oracle =
   qcheck ~count:50 "column generation agrees with the exhaustive oracle" QCheck.small_nat
     (fun seed ->
       let net = random_network (seed + 200) in
       let obj = if seed mod 2 = 0 then Obj.Wardrop else Obj.System_optimum in
-      let cg = Eq.solve ~engine:Eq.Column_generation obj net in
-      let ex = Eq.solve ~engine:Eq.Exhaustive obj net in
+      let cg = Eq.solve obj net in
+      let ex = Eq.exhaustive obj net in
       cg.gap <= 1e-6
       && Eq.verify obj net cg
       && Vec.linf_dist cg.edge_flow ex.edge_flow <= 1e-5)
@@ -240,7 +256,7 @@ let suite =
     case "zero-demand commodity" test_zero_demand_commodity;
     case "all-or-nothing" test_aon;
     case "with_demands: cheap resize" test_with_demands;
-    case "engine selection: default and override" test_engine_selection;
+    case "engine selection: default and oracle agree" test_engine_selection;
     case "column generation: past the enumeration limit" test_column_gen_past_enumeration_limit;
     prop_solvers_agree;
     prop_column_gen_matches_oracle;

@@ -126,28 +126,6 @@ let test_memo_keys () =
   | None -> ()
   | Some _ -> Alcotest.fail "stats must not be memoized")
 
-let test_memo_keys_links_engine () =
-  (* A closed-form and a bisection solve must never alias in a warm
-     memo: the ambient links engine is part of every key. *)
-  let module Links = Sgr_links.Links in
-  let saved = Links.default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Links.set_default_engine saved)
-    (fun () ->
-      let key_under engine =
-        Links.set_default_engine engine;
-        match P.memo_key (P.Solve { id = "a"; obj = `Nash }) with
-        | Some k -> k
-        | None -> Alcotest.fail "expected a memo key"
-      in
-      let auto = key_under `Auto in
-      let cf = key_under `Closed_form in
-      let bi = key_under `Bisection in
-      check_true "auto and closed-form keys differ" (not (String.equal auto cf));
-      check_true "auto and bisection keys differ" (not (String.equal auto bi));
-      check_true "closed-form and bisection keys differ" (not (String.equal cf bi));
-      Alcotest.(check string) "key is stable under the same engine" cf (key_under `Closed_form))
-
 (* ---------------- engine ---------------- *)
 
 let with_instance_file inst f =
@@ -194,6 +172,26 @@ let test_engine_memo_and_reload () =
   let stats = Cache.stats cache in
   Alcotest.(check int) "eviction happened" 1 stats.Cache.evictions;
   Alcotest.(check string) "reload after evict gives the same reply" first (run "solve p nash")
+
+let test_engine_non_finite () =
+  (* Costs past the float range are refused with the reason, and the
+     refusal is never memoized: a repeat is another memo miss. *)
+  let module L = Sgr_latency.Latency in
+  let t = Sgr_links.Links.make [| L.linear 1.0; L.linear 2.0 |] ~demand:1e300 in
+  with_instance_file (IF.Links t) @@ fun path ->
+  let cache = Cache.create ~capacity:4 in
+  let run raw = Option.get (Engine.execute_raw cache raw) in
+  ignore (run (Printf.sprintf "load o %s" path));
+  let refused = "error solve: cost=inf is not finite (the costs overflow the float range)" in
+  Alcotest.(check string) "solve" refused (run "solve o nash");
+  Alcotest.(check string) "optop"
+    "error solve: nash_cost=inf is not finite (the costs overflow the float range)"
+    (run "optop o");
+  let misses = (Cache.stats cache).Cache.memo_misses in
+  Alcotest.(check string) "repeat" refused (run "solve o nash");
+  Alcotest.(check int) "the refusal was not memoized" (misses + 1)
+    (Cache.stats cache).Cache.memo_misses;
+  Alcotest.(check int) "no memo hit" 0 (Cache.stats cache).Cache.memo_hits
 
 let contains s sub =
   let n = String.length s and ml = String.length sub in
@@ -568,9 +566,9 @@ let suite =
     case "fingerprint: FNV-1a test vectors" test_fingerprint_fnv_vector;
     case "protocol: parse" test_protocol_parse;
     case "protocol: memo keys" test_memo_keys;
-    case "protocol: memo keys embed the links engine" test_memo_keys_links_engine;
     case "engine: pigou golden replies" test_engine_pigou;
     case "engine: memoization and reload-after-evict" test_engine_memo_and_reload;
+    case "engine: non-finite costs are refused, never memoized" test_engine_non_finite;
     case "engine: pre-emptive deadline cancellation" test_engine_timeout;
     case "lineio: many lines from one read" test_lineio_many_lines_one_read;
     case "lineio: chunk boundaries and take_rest" test_lineio_chunk_boundaries;
